@@ -8,7 +8,7 @@
 from unimodal_chains import (
     fiber_coordinates,
     fiber_element,
-    project,
+    remove_maximal_pairs,
     section,
     signature_class,
     verify_split_extension,
@@ -21,7 +21,7 @@ print()
 
 b = (1, 0)
 print(f"fiber over {b}, as coordinate pairs in the 2-by-4 lattice:")
-fiber = sorted(a for a in cls if project(a) == b)
+fiber = sorted(a for a in cls if remove_maximal_pairs(a) == b)
 for a in fiber:
     print(f"  {a}  ->  {fiber_coordinates(a, b)}")
 print()
@@ -35,11 +35,12 @@ print()
 report = verify_split_extension(5, (0, 1, 1))
 print(f"exhaustive checks for the class (r={report.r}, ell={report.ell}, "
       f"{report.fiber_count} fibers):")
-for name, ok in report.checks.items():
-    print(f"  {'ok  ' if ok else 'FAIL'} {name}")
+for name, check in report.checks.items():
+    print(f"  {'ok  ' if check.passed else 'FAIL'} {name}")
 print()
 print("the two failing checks record a genuine boundary of the theory: the")
 print("projection is not order-preserving across fibers.  A witness cover:")
-for ce in report.counterexamples["projection_order_preserving"][:1]:
+for ce in report.checks["projection_order_preserving"].counterexamples[:1]:
     low, up = ce["lower"], ce["upper"]
-    print(f"  {low} < {up}, but projections {project(low)} > {project(up)}")
+    print(f"  {low} < {up}, but projections "
+          f"{remove_maximal_pairs(low)} > {remove_maximal_pairs(up)}")

@@ -61,7 +61,6 @@ from .structure import (
     fiber_element,
     first_coordinate_closed_form,
     flip_stability,
-    project,
     section,
     unimodality_certificate,
     verify_split_extension,

@@ -178,7 +178,9 @@ def cmd_verify(args) -> int:
     env_jobs = os.environ.get("UNIMODAL_CHAINS_JOBS")
     if env_jobs:
         jobs = int(env_jobs)
-    if args.n is not None and args.m is not None:
+    if (args.n is None) != (args.m is None):
+        raise ValueError("verify takes both --n and --m, or neither for a sweep")
+    if args.n is not None:
         reports = run_pair(args.n, args.m)
     else:
         reports = run_sweep(max_size=args.max_size, max_dim=args.max_dim, jobs=jobs)

@@ -10,9 +10,11 @@ with reproducible inputs, never raised.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .posets import (
+    CheckResult,
+    InconsistencyError,
     count_compositions,
     enumerate_compositions,
     flip,
@@ -25,8 +27,8 @@ from .posets import (
 )
 from .qpoly import gaussian, rank_generating_function
 from .statistics import (
+    CACHE_LIMIT,
     chain_length,
-    clear_caches,
     degree,
     enumerate_signatures,
     highest_weight,
@@ -38,6 +40,7 @@ from .statistics import (
     spread,
 )
 from .structure import (
+    clear_caches,
     decompose_all,
     flip_stability,
     unimodality_certificate,
@@ -53,9 +56,7 @@ from .transversal import (
     raise_run,
     transversal_chain,
 )
-from .posets import InconsistencyError
 
-COUNTEREXAMPLE_CAP = 10
 ORDER_INDEPENDENCE_CAP = 3000  # poset size up to which removal orders are explored
 
 # checks reporting a known boundary defect; nonempty censuses here do not
@@ -67,19 +68,6 @@ DEFAULT_WAIVED = frozenset(
 
 def _repro(comp) -> str:
     return f"unimodal-chains signature '{format_composition(comp)}'"
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    counterexamples: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
-
-    def add(self, detail) -> None:
-        self.passed = False
-        if len(self.counterexamples) < COUNTEREXAMPLE_CAP:
-            self.counterexamples.append(detail)
 
 
 @dataclass
@@ -186,20 +174,20 @@ def _max_removals(comp, s, memo):
 def check_statistics(n: int, m: int) -> VerificationReport:
     """Exhaustive statistics checks over one composition poset."""
     t0 = time.time()
-    counting = CheckResult("element_count", True)
-    partition_side = CheckResult("partition_side_agreement", True)
-    flip_removal = CheckResult("flip_removal_commute", True)
-    flip_sig = CheckResult("flip_signature_invariant", True)
-    sums = CheckResult("signature_sum_identities", True)
-    containment = CheckResult("removal_containment", True)
-    strict = CheckResult("spread_strict_decrease", True)
-    deg_formula = CheckResult("degree_formula", True)
-    partition_prop = CheckResult("classes_partition_poset", True)
-    class_flip = CheckResult("classes_flip_stable", True)
-    class_deg = CheckResult("class_degree_consistent", True)
-    unique_top = CheckResult("unique_highest_weight", True)
-    empties = CheckResult("empty_class_census", True)
-    order_ind = CheckResult("removal_order_independence", True)
+    counting = CheckResult("element_count")
+    partition_side = CheckResult("partition_side_agreement")
+    flip_removal = CheckResult("flip_removal_commute")
+    flip_sig = CheckResult("flip_signature_invariant")
+    sums = CheckResult("signature_sum_identities")
+    containment = CheckResult("removal_containment")
+    strict = CheckResult("spread_strict_decrease")
+    deg_formula = CheckResult("degree_formula")
+    partition_prop = CheckResult("classes_partition_poset")
+    class_flip = CheckResult("classes_flip_stable")
+    class_deg = CheckResult("class_degree_consistent")
+    unique_top = CheckResult("unique_highest_weight")
+    empties = CheckResult("empty_class_census")
+    order_ind = CheckResult("removal_order_independence")
 
     classes = signature_classes(n, m)
     total = 0
@@ -241,16 +229,14 @@ def check_statistics(n: int, m: int) -> VerificationReport:
             if formula_r != r:
                 census.append(comp)
 
-    counting.passed = total == count_compositions(n, m)
+    if total != count_compositions(n, m):
+        counting.add({"expected": count_compositions(n, m)})
     counting.info["count"] = total
 
     deg_formula.info["census_size"] = len(census)
     deg_formula.info["census"] = [list(c) for c in census]
-    if census:
-        deg_formula.passed = False
-        deg_formula.counterexamples = [
-            {"element": c, "repro": _repro(c)} for c in census[:COUNTEREXAMPLE_CAP]
-        ]
+    for c in census:
+        deg_formula.add({"element": c, "repro": _repro(c)})
     strict.info["boundary_census_size"] = len(spread_boundary)
     strict.info["boundary_census"] = [list(c) for c in spread_boundary]
 
@@ -315,14 +301,14 @@ def check_statistics(n: int, m: int) -> VerificationReport:
 def check_chains(n: int, m: int) -> VerificationReport:
     """Exhaustive checks of both algorithms and every transversal chain."""
     t0 = time.time()
-    bijection = CheckResult("chains_per_component", True)
-    invariance = CheckResult("statistic_invariance_on_chains", True)
-    saturation = CheckResult("chain_saturation", True)
-    uniform = CheckResult("uniform_chain_length", True)
-    endpoints = CheckResult("initial_terminal_endpoints", True)
-    closed = CheckResult("closed_form_color_sequence", True)
-    duality = CheckResult("endpoint_duality", True)
-    flip_dual = CheckResult("flip_duality", True)
+    bijection = CheckResult("chains_per_component")
+    invariance = CheckResult("statistic_invariance_on_chains")
+    saturation = CheckResult("chain_saturation")
+    uniform = CheckResult("uniform_chain_length")
+    endpoints = CheckResult("initial_terminal_endpoints")
+    closed = CheckResult("closed_form_color_sequence")
+    duality = CheckResult("endpoint_duality")
+    flip_dual = CheckResult("flip_duality")
 
     classes = signature_classes(n, m)
     for d, cls in classes.items():
@@ -387,11 +373,11 @@ def check_structure(
     posets; the per-class split-extension checks always run.
     """
     t0 = time.time()
-    gen_fun = CheckResult("rank_generating_function", True)
+    gen_fun = CheckResult("rank_generating_function")
     split_checks: dict[str, CheckResult] = {}
-    partition = CheckResult("decomposition_partitions", True)
-    tau_stable = CheckResult("decomposition_flip_stable", True)
-    certificate = CheckResult("unimodality_certificate", True)
+    partition = CheckResult("decomposition_partitions")
+    tau_stable = CheckResult("decomposition_flip_stable")
+    certificate = CheckResult("unimodality_certificate")
 
     if rank_generating_function(enumerate_compositions(n, m)) != gaussian(m, n):
         gen_fun.add({"detail": f"rank histogram differs from gaussian({m},{n})"})
@@ -404,22 +390,17 @@ def check_structure(
         rep = verify_split_extension(n, d)
         if rep.degenerate:
             degenerate.append(list(d))
-        for name, ok in rep.checks.items():
-            agg = split_checks.setdefault(name, CheckResult(name, True))
-            if not ok:
-                agg.add(
-                    {"signature": d,
-                     "examples": rep.counterexamples.get(name, [])[:3]}
-                )
-                agg.info["failing_classes"] = agg.info.get("failing_classes", 0) + 1
-                agg.info["failing_pairs"] = (
-                    agg.info.get("failing_pairs", 0) + rep.defect_counts[name]
-                )
+        for name, c in rep.checks.items():
+            agg = split_checks.setdefault(name, CheckResult(name))
+            if not c.passed:
+                agg.add({"signature": d, "examples": c.counterexamples[:3]})
+                pairs = agg.info.get("failing_pairs", 0)
+                agg.info["failing_pairs"] = pairs + c.failures
     for agg in split_checks.values():
-        agg.info.setdefault("failing_classes", 0)
+        agg.info["failing_classes"] = agg.failures
     if degenerate:
         sec = split_checks.setdefault(
-            "section_property", CheckResult("section_property", True)
+            "section_property", CheckResult("section_property")
         )
         sec.info["degenerate_classes"] = degenerate
 
@@ -427,10 +408,9 @@ def check_structure(
     if include_decomposition:
         try:
             dec = decompose_all(n, m)
-            ok, offenders = flip_stability(dec)
-            if not ok:
-                for ch in offenders[:COUNTEREXAMPLE_CAP]:
-                    tau_stable.add({"chain": ch.to_dict()})
+            _, offenders = flip_stability(dec)
+            for ch in offenders:
+                tau_stable.add({"chain": ch.to_dict()})
             cert = unimodality_certificate(dec)
             if not cert.passed():
                 certificate.add(
@@ -457,14 +437,21 @@ def sweep_pairs(max_size: int, max_dim: int = 12) -> list[tuple[int, int]]:
     ]
 
 
-def run_pair(n: int, m: int, include=("statistics", "chains", "structure")):
-    reports = []
-    if "statistics" in include:
-        reports.append(check_statistics(n, m))
-    if "chains" in include:
-        reports.append(check_chains(n, m))
-    if "structure" in include:
-        reports.append(check_structure(n, m))
+def run_pair(n: int, m: int, decomposition_max: int | None = None):
+    """Statistics, chain and structure reports of one poset.
+
+    The decomposition checks are skipped above decomposition_max elements
+    (None: never).  All caches are cleared after a poset above CACHE_LIMIT.
+    """
+    size = count_compositions(n, m)
+    with_decomposition = decomposition_max is None or size <= decomposition_max
+    reports = [
+        check_statistics(n, m),
+        check_chains(n, m),
+        check_structure(n, m, include_decomposition=with_decomposition),
+    ]
+    if size > CACHE_LIMIT:
+        clear_caches()
     return reports
 
 
@@ -472,29 +459,22 @@ def run_sweep(
     max_size: int = 200_000,
     max_dim: int = 12,
     jobs: int = 1,
-    include=("statistics", "chains", "structure"),
+    decomposition_max: int | None = None,
 ) -> list[VerificationReport]:
-    """All checks over every (n, m) within the bounds, reports sorted."""
+    """run_pair over every (n, m) within the bounds, reports sorted."""
     pairs = sweep_pairs(max_size, max_dim)
-    out: list[VerificationReport] = []
+    gates = [decomposition_max] * len(pairs)
+    args = ([n for n, _ in pairs], [m for _, m in pairs], gates)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for reports in pool.map(_run_pair_star, [(p, include) for p in pairs]):
-                out.extend(reports)
+            per_pair = list(pool.map(run_pair, *args))
     else:
-        for n, m in pairs:
-            out.extend(run_pair(n, m, include))
-            if count_compositions(n, m) > 50_000:
-                clear_caches()
+        per_pair = list(map(run_pair, *args))
+    out = [report for reports in per_pair for report in reports]
     out.sort(key=lambda r: (r.n, r.m, r.scope))
     return out
-
-
-def _run_pair_star(args):
-    (n, m), include = args
-    return run_pair(n, m, include)
 
 
 # split-extension checks expected to hold with zero exceptions
@@ -516,46 +496,3 @@ SPLIT_SOUND_CHECKS = (
 # exhaustive verification finds genuine counterexamples (see the shipped
 # projection_order_census golden file)
 SPLIT_DEFECT_CHECKS = ("projection_order_preserving", "stripped_cover_preserved")
-
-
-def run_acceptance_sweep(
-    max_size: int = 200_000,
-    max_dim: int = 12,
-    decomposition_max: int = 50_000,
-    jobs: int = 1,
-) -> dict[tuple[int, int], dict[str, VerificationReport]]:
-    """Every check family over the sweep, keyed by (n, m) then scope.
-
-    Decomposition checks are gated at decomposition_max elements; the
-    statistics, chain, and split-extension checks run everywhere.
-    """
-    pairs = sweep_pairs(max_size, max_dim)
-    tasks = [
-        (n, m, count_compositions(n, m) <= decomposition_max) for n, m in pairs
-    ]
-    out: dict = {}
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (n, m, _), reports in zip(tasks, pool.map(_acceptance_worker, tasks)):
-                out[(n, m)] = reports
-    else:
-        for task in tasks:
-            n, m, _ = task
-            out[(n, m)] = _acceptance_worker(task)
-            if count_compositions(n, m) > 50_000:
-                clear_caches()
-                from .structure import clear_caches as clear_structure_caches
-
-                clear_structure_caches()
-    return out
-
-
-def _acceptance_worker(task):
-    n, m, with_decomposition = task
-    return {
-        "statistics": check_statistics(n, m),
-        "chains": check_chains(n, m),
-        "structure": check_structure(n, m, include_decomposition=with_decomposition),
-    }

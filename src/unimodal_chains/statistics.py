@@ -131,12 +131,6 @@ def signature(comp: Composition) -> Signature:
     return d
 
 
-def clear_caches() -> None:
-    """Drop memoized signatures (useful between large sweeps)."""
-    signature.cache_clear()
-    _classes_cache.clear()
-
-
 def signature_mass(d: Signature) -> int:
     """Mass of any composition with signature d: sum of (j+1)*d_j."""
     return sum((j + 1) * dj for j, dj in enumerate(d))
@@ -166,8 +160,10 @@ def _sigs(k, m):
     return out
 
 
+# posets up to this size keep their classes (and, in structure, their
+# decompositions) cached; sweeps clear every cache after a larger one
+CACHE_LIMIT = 50_000
 _classes_cache: dict = {}
-_CLASSES_CACHE_LIMIT = 50_000
 
 
 def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]]:
@@ -188,7 +184,7 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
             raise InconsistencyError(f"signature {d} of {comp} not enumerated")
         groups[d].append(comp)
     result = {d: tuple(cs) for d, cs in groups.items()}
-    if count_compositions(n, m) <= _CLASSES_CACHE_LIMIT:
+    if count_compositions(n, m) <= CACHE_LIMIT:
         _classes_cache[key] = result
     return result
 

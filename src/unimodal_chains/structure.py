@@ -16,6 +16,7 @@ from math import comb
 import numpy as np
 
 from .posets import (
+    CheckResult,
     Composition,
     InconsistencyError,
     cover_color,
@@ -28,7 +29,9 @@ from .posets import (
 )
 from .qpoly import gaussian, is_unimodal
 from .statistics import (
+    CACHE_LIMIT,
     Signature,
+    _classes_cache,
     _components,
     chain_length,
     degree,
@@ -42,13 +45,9 @@ from .statistics import (
 from .transversal import Chain, flip_chain, transversal_chain
 
 
-def project(a: Composition) -> Composition:
-    """Maximal-pair removal in its role as the bundle projection."""
-    return remove_maximal_pairs(a)
-
-
 def section(b: Composition, r: int, s: int) -> Composition:
-    """Prepend r blocks (s, 0); the order-preserving section of project().
+    """Prepend r blocks (s, 0); the order-preserving section of the projection
+    remove_maximal_pairs().
 
     Requires s > spread(b) so the prepended blocks carry the maximal
     pairs; r = 0 returns b unchanged.
@@ -201,19 +200,10 @@ class SplitExtensionReport:
     base_signature: Signature
     fiber_count: int
     degenerate: bool
-    checks: dict[str, bool] = field(default_factory=dict)
-    counterexamples: dict[str, list] = field(default_factory=dict)
-    defect_counts: dict[str, int] = field(default_factory=dict)
+    checks: dict[str, CheckResult] = field(default_factory=dict)
 
     def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def _fail(self, name, detail):
-        self.checks[name] = False
-        self.defect_counts[name] = self.defect_counts.get(name, 0) + 1
-        self.counterexamples.setdefault(name, [])
-        if len(self.counterexamples[name]) < 10:
-            self.counterexamples[name].append(detail)
+        return all(c.passed for c in self.checks.values())
 
 
 def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
@@ -239,8 +229,19 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
         n=n, d=d, r=r, ell=ell, base_signature=base_d, fiber_count=0, degenerate=False
     )
     if r == 0:
-        report.checks["base_case"] = True
+        report.checks["base_case"] = CheckResult("base_case")
         return report
+    checks = report.checks = {
+        name: CheckResult(name)
+        for name in (
+            "projection_into_base", "projection_surjective", "section_property",
+            "section_order_preserving", "fiber_sizes", "coordinates_bijective",
+            "coordinates_mutually_inverse", "first_coordinate_closed_form",
+            "fiber_rank_shift", "fiber_cover_correspondence",
+            "fiber_order_isomorphism", "projection_order_preserving",
+            "stripped_cover_preserved",
+        )
+    }
 
     base = signature_class(n - 2 * r, base_d)
     base_set = set(base)
@@ -249,23 +250,18 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
     report.degenerate = any(s <= spread(b) for b in base)
 
     fibers: dict = {}
-    report.checks["projection_into_base"] = True
     for a in cls:
         image = remove_maximal_pairs(a)
         if image not in base_set:
-            report._fail("projection_into_base", {"element": a, "image": image})
+            checks["projection_into_base"].add({"element": a, "image": image})
         fibers.setdefault(image, []).append(a)
-    report.checks["projection_surjective"] = set(fibers) == base_set
-    if not report.checks["projection_surjective"]:
-        report.counterexamples["projection_surjective"] = [
-            {"missing": sorted(base_set - set(fibers))[:10]}
-        ]
+    for b in sorted(base_set - set(fibers)):
+        checks["projection_surjective"].add({"missing": b})
 
-    report.checks["section_property"] = True
     for b in base:
         image = (s, 0) * r + b
         if image not in cls_set or remove_maximal_pairs(image) != b:
-            report._fail("section_property", {"base": b, "section": image})
+            checks["section_property"].add({"base": b, "section": image})
 
     # order-preservation of the section, all comparable base pairs at once
     if len(base) > 1:
@@ -273,49 +269,33 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
         img_leq = _leq_matrix(
             _partition_suffix_matrix([(s, 0) * r + b for b in base])
         )
-        ok = bool((~base_leq | img_leq).all())
-        report.checks["section_order_preserving"] = ok
-        if not ok:
-            bad = np.argwhere(base_leq & ~img_leq)[:10]
-            report.counterexamples["section_order_preserving"] = [
-                {"base_pair": (base[i], base[j])} for i, j in bad
-            ]
-    else:
-        report.checks["section_order_preserving"] = True
+        for i, j in np.argwhere(base_leq & ~img_leq):
+            checks["section_order_preserving"].add({"base_pair": (base[i], base[j])})
 
     expected_fiber = comb(r + ell, r)
-    report.checks["fiber_sizes"] = True
-    report.checks["coordinates_bijective"] = True
-    report.checks["coordinates_mutually_inverse"] = True
-    report.checks["first_coordinate_closed_form"] = True
-    report.checks["fiber_rank_shift"] = True
-    report.checks["fiber_cover_correspondence"] = True
-    report.checks["fiber_order_isomorphism"] = True
     for b in base:
         fiber = fibers.get(b, [])
         if len(fiber) != expected_fiber:
-            report._fail("fiber_sizes", {"base": b, "size": len(fiber)})
+            checks["fiber_sizes"].add({"base": b, "size": len(fiber)})
             continue
         try:
             coords = {a: fiber_coordinates(a, b) for a in fiber}
             rebuilt = _fiber_by_coordinates(b, r, s, ell)
         except (InconsistencyError, ValueError) as exc:
-            report._fail("coordinates_bijective", {"base": b, "error": str(exc)})
+            checks["coordinates_bijective"].add({"base": b, "error": str(exc)})
             continue
         if sorted(coords.values()) != sorted(rebuilt):
-            report._fail("coordinates_bijective", {"base": b})
+            checks["coordinates_bijective"].add({"base": b})
             continue
         sec_rank = rank((s, 0) * r + b)
         fiber_set = set(fiber)
         for a, lam in coords.items():
             if rebuilt[lam] != a:
-                report._fail("coordinates_mutually_inverse", {"element": a, "lam": lam})
+                checks["coordinates_mutually_inverse"].add({"element": a, "lam": lam})
             if rank(a) != sec_rank + sum(lam):
-                report._fail("fiber_rank_shift", {"element": a, "lam": lam})
+                checks["fiber_rank_shift"].add({"element": a, "lam": lam})
             if lam and first_coordinate_closed_form(a) != lam[0]:
-                report._fail(
-                    "first_coordinate_closed_form", {"element": a, "lam": lam}
-                )
+                checks["first_coordinate_closed_form"].add({"element": a, "lam": lam})
         # covers inside the fiber must match covers of coordinate vectors
         for a, lam in coords.items():
             for _, up in upper_covers(a):
@@ -324,9 +304,8 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
                 lam_up = coords[up]
                 diffs = [i for i in range(r) if lam[i] != lam_up[i]]
                 if len(diffs) != 1 or lam_up[diffs[0]] != lam[diffs[0]] + 1:
-                    report._fail(
-                        "fiber_cover_correspondence",
-                        {"lower": a, "upper": up, "coords": (lam, lam_up)},
+                    checks["fiber_cover_correspondence"].add(
+                        {"lower": a, "upper": up, "coords": (lam, lam_up)}
                     )
             for i in range(r):
                 bumped = lam[:i] + (lam[i] + 1,) + lam[i + 1 :]
@@ -334,9 +313,8 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
                     continue
                 other = rebuilt[bumped]
                 if cover_color(a, other) is None:
-                    report._fail(
-                        "fiber_cover_correspondence",
-                        {"lower": a, "upper": other, "coords": (lam, bumped)},
+                    checks["fiber_cover_correspondence"].add(
+                        {"lower": a, "upper": other, "coords": (lam, bumped)}
                     )
         if r >= 2:
             # full pairwise order check against the coordinate lattice
@@ -344,18 +322,11 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
             lam_rows = np.array([coords[a] for a in elems], dtype=np.int64)
             fib_leq = _leq_matrix(_partition_suffix_matrix(elems))
             lam_leq = _leq_matrix(lam_rows)
-            if not bool((fib_leq == lam_leq).all()):
-                bad = np.argwhere(fib_leq != lam_leq)[:10]
-                for i, j in bad:
-                    report._fail(
-                        "fiber_order_isomorphism",
-                        {"pair": (elems[i], elems[j])},
-                    )
+            for i, j in np.argwhere(fib_leq != lam_leq):
+                checks["fiber_order_isomorphism"].add({"pair": (elems[i], elems[j])})
         # r == 1: the fiber is one saturated chain, whose induced order is
         # total; bijection + cover correspondence already pin the isomorphism.
 
-    report.checks["projection_order_preserving"] = True
-    report.checks["stripped_cover_preserved"] = True
     if n >= 2:
         for a in cls:
             pa = remove_maximal_pairs(a)
@@ -364,16 +335,13 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
                     continue
                 pu = remove_maximal_pairs(up)
                 if pa != pu and not leq(pa, pu):
-                    report._fail(
-                        "projection_order_preserving", {"lower": a, "upper": up}
-                    )
+                    checks["projection_order_preserving"].add({"lower": a, "upper": up})
                 if not _same_transversal_chain(a, up):
                     qq = _raise_to_initial(a)[1][2:]
                     pp = _raise_to_initial(up)[1][2:]
                     if cover_color(qq, pp) is None:
-                        report._fail(
-                            "stripped_cover_preserved",
-                            {"lower": a, "upper": up, "stripped": (qq, pp)},
+                        checks["stripped_cover_preserved"].add(
+                            {"lower": a, "upper": up, "stripped": (qq, pp)}
                         )
     return report
 
@@ -410,7 +378,6 @@ class Decomposition:
 
 
 _decompose_cache: dict = {}
-_DECOMPOSE_CACHE_LIMIT = 50_000
 
 
 def decompose_class(n: int, d: Signature) -> list[Chain]:
@@ -458,7 +425,7 @@ def _decompose_chains(n: int, m: int) -> tuple[Chain, ...]:
     cached = _decompose_cache.get(key)
     if cached is None:
         cached = tuple(decompose_all(n, m).chains())
-        if count_compositions(n, m) <= _DECOMPOSE_CACHE_LIMIT:
+        if count_compositions(n, m) <= CACHE_LIMIT:
             _decompose_cache[key] = cached
     return cached
 
@@ -473,8 +440,6 @@ def decompose_all(n: int, m: int) -> Decomposition:
         raise ValueError("need n >= 0 and m >= 0")
     classes = signature_classes(n, m)
     out = []
-    index: dict[Composition, int] = {}
-    chain_id = 0
     for d, cls in classes.items():
         if not cls:
             continue
@@ -483,18 +448,32 @@ def decompose_all(n: int, m: int) -> Decomposition:
         out.append(
             ClassDecomposition(d, degree(top), chain_length(n, d), tuple(chains))
         )
-        for ch in chains:
-            for e in ch.elements():
-                if e in index:
-                    raise InconsistencyError(f"element {e} covered twice")
-                index[e] = chain_id
-            chain_id += 1
+    return _indexed(n, m, tuple(out))
+
+
+def _indexed(n: int, m: int, classes) -> Decomposition:
+    """The decomposition with its element-to-chain index.
+
+    Every element of the (n, m) poset must lie on exactly one chain; an
+    element of the wrong length or mass, one covered twice, or one left
+    uncovered is an InconsistencyError.  Color steps keep the length, the
+    mass and nonnegative entries, so checking each chain's top suffices.
+    """
+    index: dict[Composition, int] = {}
+    for chain_id, ch in enumerate(ch for cd in classes for ch in cd.chains):
+        top = ch.top
+        if len(top) != n + 1 or sum(top) != m or min(top, default=0) < 0:
+            raise InconsistencyError(f"chain top {top} is not in L({m},{n})")
+        for e in ch.elements():
+            if e in index:
+                raise InconsistencyError(f"element {e} covered twice")
+            index[e] = chain_id
     total = count_compositions(n, m)
     if len(index) != total:
         raise InconsistencyError(
             f"decomposition covers {len(index)} of {total} elements"
         )
-    return Decomposition(n=n, m=m, classes=tuple(out), index=index)
+    return Decomposition(n=n, m=m, classes=classes, index=index)
 
 
 def flip_stability(dec: Decomposition) -> tuple[bool, list[Chain]]:
@@ -585,6 +564,7 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
 
 
 def decomposition_from_dict(data: dict) -> Decomposition:
+    """Rebuild a decomposition, checking that it partitions the poset."""
     classes = tuple(
         ClassDecomposition(
             tuple(cd["signature"]),
@@ -594,15 +574,11 @@ def decomposition_from_dict(data: dict) -> Decomposition:
         )
         for cd in data["classes"]
     )
-    index: dict[Composition, int] = {}
-    chain_id = 0
-    for cd in classes:
-        for ch in cd.chains:
-            for e in ch.elements():
-                index[e] = chain_id
-            chain_id += 1
-    return Decomposition(n=data["n"], m=data["m"], classes=classes, index=index)
+    return _indexed(data["n"], data["m"], classes)
 
 
 def clear_caches() -> None:
+    """Drop memoized signatures, classes and decompositions."""
+    signature.cache_clear()
+    _classes_cache.clear()
     _decompose_cache.clear()

@@ -4,9 +4,10 @@ All tolerances are zero; every comparison is exact integer equality.
 The sweeps cover the (n, m) grid up to 12 per axis with poset size at
 most 200,000 (50,000 for the full-decomposition criteria).  Run with
 ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
-The sweep runs on two worker processes where two CPUs are available
-(it is most of the suite's wall time); set UNIMODAL_CHAINS_JOBS to choose
-the count, 1 running it in the test process.
+The sweep is one ``oracle.run_sweep`` call, regrouped by (n, m) here; it
+runs on two worker processes where two CPUs are available (it is most of
+the suite's wall time); set UNIMODAL_CHAINS_JOBS to choose the count, 1
+running it in the test process.
 
 Criterion 5's last clause (cover-level order preservation of the class
 projection) has genuine counterexamples: no projection whose fibers are
@@ -58,17 +59,23 @@ def _line(num, name, ok, detail=""):
     print(f"criterion {num} ({name}): {status}{suffix}")
 
 
+def _run_sweep():
+    """Every report of the sweep, keyed by (n, m) then scope."""
+    out: dict = {}
+    for report in oracle.run_sweep(
+        max_size=SWEEP_MAX_SIZE,
+        max_dim=SWEEP_MAX_DIM,
+        jobs=_sweep_jobs(),
+        decomposition_max=DECOMPOSITION_MAX,
+    ):
+        out.setdefault((report.n, report.m), {})[report.scope] = report
+    return out
+
+
 @pytest.fixture(scope="session")
 def sweep():
     if not _RESULTS:
-        _RESULTS.update(
-            oracle.run_acceptance_sweep(
-                max_size=SWEEP_MAX_SIZE,
-                max_dim=SWEEP_MAX_DIM,
-                decomposition_max=DECOMPOSITION_MAX,
-                jobs=_sweep_jobs(),
-            )
-        )
+        _RESULTS.update(_run_sweep())
     return _RESULTS
 
 
@@ -215,7 +222,7 @@ def _recount_projection_defects(n, m):
     """
     memos: dict = {}
 
-    def project(a):
+    def removal_image(a):
         s = spread(a)
         _, (image,) = oracle._max_removals(a, s, memos.setdefault(s, {}))
         return image
@@ -225,10 +232,10 @@ def _recount_projection_defects(n, m):
         members = set(cls)
         bad = 0
         for a in cls:
-            pa = from_gaps(project(a))
+            pa = from_gaps(removal_image(a))
             for up in _partition_upper_covers(a):
                 if up in members:
-                    pu = from_gaps(project(up))
+                    pu = from_gaps(removal_image(up))
                     bad += any(x > y for x, y in zip(pa, pu))
         classes += bad > 0
         covers += bad
@@ -346,12 +353,5 @@ def test_criterion_8_spot_values():
 
 
 if __name__ == "__main__":
-    document = _census_document(
-        oracle.run_acceptance_sweep(
-            max_size=SWEEP_MAX_SIZE,
-            max_dim=SWEEP_MAX_DIM,
-            decomposition_max=DECOMPOSITION_MAX,
-            jobs=_sweep_jobs(),
-        )
-    )
+    document = _census_document(_run_sweep())
     (DATA_DIR / "projection_order_census.json").write_text(_census_text(document))

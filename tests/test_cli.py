@@ -113,6 +113,15 @@ def test_verify_single_pair_exit_zero(capsys):
     assert main(["verify", "--n", "0", "--m", "0"]) == 0
 
 
+def test_verify_needs_both_n_and_m(capsys):
+    # one of the two must not fall through to the full sweep
+    assert main(["verify", "--n", "5"]) == 2
+    assert main(["verify", "--m", "5", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("usage error: verify takes both --n and --m") == 2
+
+
 def test_verify_json_format(capsys):
     code, out = run(capsys, "verify", "--n", "2", "--m", "2", "--format", "json")
     reports = json.loads(out)

@@ -56,6 +56,28 @@ def test_structure_projection_census_on_5_5():
     assert not rep.passed(waived=frozenset())
 
 
+def test_failed_section_order_is_recorded(monkeypatch):
+    # swap the two section images of class (1,1) at n=3 before their
+    # order is compared, so the section reverses the base order
+    from unimodal_chains import structure
+    from unimodal_chains.statistics import signature_class
+
+    images = [(2, 0) + b for b in signature_class(1, (1,))]
+    real = structure._partition_suffix_matrix
+
+    def swapped(elements):
+        return real(images[::-1] if list(elements) == images else elements)
+
+    monkeypatch.setattr(structure, "_partition_suffix_matrix", swapped)
+    rep = oracle.check_structure(3, 3)
+    check = next(c for c in rep.checks if c.name == "section_order_preserving")
+    assert not check.passed
+    assert check.info["failing_classes"] == 1
+    assert check.info["failing_pairs"] == 1
+    assert check.counterexamples[0]["signature"] == (1, 1)
+    assert rep.failed_names() == ["section_order_preserving"]
+
+
 def test_removal_order_independence_explored_on_small():
     rep = oracle.check_statistics(4, 4)
     check = next(c for c in rep.checks if c.name == "removal_order_independence")

@@ -13,6 +13,7 @@ from unimodal_chains.qpoly import gaussian
 from unimodal_chains.statistics import (
     chain_length,
     degree,
+    remove_maximal_pairs,
     signature_class,
     signature_classes,
 )
@@ -25,7 +26,6 @@ from unimodal_chains.structure import (
     fiber_element,
     first_coordinate_closed_form,
     flip_stability,
-    project,
     section,
     unimodality_certificate,
     verify_split_extension,
@@ -41,9 +41,9 @@ def test_section_examples():
 
 
 def test_project_examples():
-    assert project((0, 1, 1)) == (0,)
-    assert project((2, 0, 1, 0, 0, 2)) == (1, 0)
-    assert project(section((1, 0), 2, 2)) == (1, 0)
+    assert remove_maximal_pairs((0, 1, 1)) == (0,)
+    assert remove_maximal_pairs((2, 0, 1, 0, 0, 2)) == (1, 0)
+    assert remove_maximal_pairs(section((1, 0), 2, 2)) == (1, 0)
 
 
 def test_fiber_coordinates_examples():
@@ -67,7 +67,7 @@ def test_first_coordinate_matches_steps_exhaustive():
     for comp in enumerate_compositions(5, 4):
         if sum(comp) == 0:
             continue
-        lam = fiber_coordinates(comp, project(comp))
+        lam = fiber_coordinates(comp, remove_maximal_pairs(comp))
         if degree(comp) >= 1:
             assert lam[0] == first_coordinate_closed_form(comp)
 
@@ -84,7 +84,7 @@ def test_fiber_bijection_small_class():
     cls = signature_class(5, (0, 1, 1))
     assert len(cls) == 30
     for b in [(1, 0), (0, 1)]:
-        fiber = [a for a in cls if project(a) == b]
+        fiber = [a for a in cls if remove_maximal_pairs(a) == b]
         assert len(fiber) == comb(2 + 4, 2)
         seen = set()
         for a in fiber:
@@ -118,11 +118,11 @@ def test_verify_split_extension_two_fibers():
         "coordinates_mutually_inverse", "fiber_rank_shift",
         "fiber_cover_correspondence", "fiber_order_isomorphism",
     ):
-        assert rep.checks[name], name
+        assert rep.checks[name].passed, name
     # ... while the projection is not order-preserving on this class: a
     # known defect of the claimed stronger property, kept as a census
-    assert not rep.checks["projection_order_preserving"]
-    assert not rep.checks["stripped_cover_preserved"]
+    assert not rep.checks["projection_order_preserving"].passed
+    assert not rep.checks["stripped_cover_preserved"].passed
 
 
 def test_projection_order_defect_witness():
@@ -133,9 +133,9 @@ def test_projection_order_defect_witness():
 
     assert cover_color(low, high) is not None
     assert signature(low) == signature(high) == (0, 1, 1)
-    assert project(low) == (0, 1) and project(high) == (1, 0)
-    assert leq(project(high), project(low))
-    assert not leq(project(low), project(high))
+    assert remove_maximal_pairs(low) == (0, 1) and remove_maximal_pairs(high) == (1, 0)
+    assert leq(remove_maximal_pairs(high), remove_maximal_pairs(low))
+    assert not leq(remove_maximal_pairs(low), remove_maximal_pairs(high))
 
 
 def _contained(x, y):
@@ -190,7 +190,7 @@ def test_no_order_preserving_projection_exists(n, d, down_sets, low, high):
     cls = signature_class(n, d)
     r = degree(cls[0])
     target = gaussian(r, chain_length(n, d))
-    assert {project(a) for a in cls} == {(1, 0), (0, 1)}
+    assert {remove_maximal_pairs(a) for a in cls} == {(1, 0), (0, 1)}
     assert len(cls) == 2 * sum(target)
     candidates = _half_size_down_sets(cls)
     assert len(candidates) == down_sets
@@ -202,8 +202,8 @@ def test_no_order_preserving_projection_exists(n, d, down_sets, low, high):
     assert _contained(low, high) and sum(mu) == sum(lam) + 1
     assert low in cls and high in cls
     # ... while its projection goes down the base
-    assert (project(low), project(high)) == ((0, 1), (1, 0))
-    assert _contained(project(high), project(low))
+    assert (remove_maximal_pairs(low), remove_maximal_pairs(high)) == ((0, 1), (1, 0))
+    assert _contained(remove_maximal_pairs(high), remove_maximal_pairs(low))
 
 
 def test_decompose_class_examples():
@@ -270,7 +270,7 @@ def test_fiber_rank_shift_formula():
     for b in [(1, 0), (0, 1)]:
         base_rank = rank(section(b, 2, 2))
         for a in cls:
-            if project(a) == b:
+            if remove_maximal_pairs(a) == b:
                 lam = fiber_coordinates(a, b)
                 assert rank(a) == base_rank + sum(lam)
 
@@ -282,6 +282,28 @@ def test_decomposition_json_round_trip():
     assert back.n == dec.n and back.m == dec.m
     assert back.classes == dec.classes
     assert back.index == dec.index
+
+
+@pytest.mark.parametrize(
+    "chains,error",
+    [
+        ([{"top": [1, 0, 1], "colors": []}] * 2, "covered twice"),
+        ([], "covers 5 of 6 elements"),
+        ([{"top": [1, 0, 1, 0], "colors": []}], "not in L"),
+        ([{"top": [1, 1, 1], "colors": []}], "not in L"),
+        ([{"top": [2, -1, 1], "colors": []}], "not in L"),
+    ],
+    ids=["duplicated-chain", "dropped-chain", "wrong-length", "wrong-mass",
+         "negative-entry"],
+)
+def test_decomposition_from_dict_rejects_non_partition(chains, error):
+    # (2,2) splits into the 5-chain of class (2,0) and the singleton
+    # [1,0,1] of class (0,1); replace the singleton's chain list
+    data = decomposition_to_dict(decompose_all(2, 2))
+    assert data["classes"][1]["chains"] == [{"top": [1, 0, 1], "colors": []}]
+    data["classes"][1]["chains"] = chains
+    with pytest.raises(InconsistencyError, match=error):
+        decomposition_from_dict(data)
 
 
 def test_decompose_rejects_bad_input():
