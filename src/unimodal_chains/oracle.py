@@ -27,7 +27,6 @@ from .posets import (
 )
 from .qpoly import gaussian, rank_generating_function
 from .statistics import (
-    CACHE_LIMIT,
     chain_length,
     degree,
     enumerate_signatures,
@@ -441,7 +440,8 @@ def run_pair(n: int, m: int, decomposition_max: int | None = None):
     """Statistics, chain and structure reports of one poset.
 
     The decomposition checks are skipped above decomposition_max elements
-    (None: never).  All caches are cleared after a poset above CACHE_LIMIT.
+    (None: never).  The poset is classified once for all three, and every
+    cache is cleared after it, so the caches hold one poset at a time.
     """
     size = count_compositions(n, m)
     with_decomposition = decomposition_max is None or size <= decomposition_max
@@ -450,8 +450,7 @@ def run_pair(n: int, m: int, decomposition_max: int | None = None):
         check_chains(n, m),
         check_structure(n, m, include_decomposition=with_decomposition),
     ]
-    if size > CACHE_LIMIT:
-        clear_caches()
+    clear_caches()
     return reports
 
 

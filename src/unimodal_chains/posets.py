@@ -17,6 +17,7 @@ Composition = tuple  # (a_0, ..., a_n), entries >= 0
 PartitionParts = tuple  # weakly increasing parts, zeros kept
 
 MAX_CELLS = 2**31  # supported box size m*n; ranks/weights stay in int64
+MAX_POSET_SIZE = 1_000_000  # elements C(m+n, n) a poset may enumerate
 
 
 class InconsistencyError(RuntimeError):
@@ -247,6 +248,11 @@ def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
         raise ValueError("n must be >= -1")
     if m * n > MAX_CELLS:
         raise ResourceGuardError(f"box {m}x{n} exceeds supported size")
+    if count_compositions(n, m) > MAX_POSET_SIZE:
+        raise ResourceGuardError(
+            f"poset n={n} m={m} has {count_compositions(n, m)} elements, "
+            f"more than MAX_POSET_SIZE={MAX_POSET_SIZE}"
+        )
     if n == 0:
         yield (m,)
         return

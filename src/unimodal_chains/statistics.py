@@ -15,7 +15,6 @@ from functools import lru_cache
 from .posets import (
     Composition,
     InconsistencyError,
-    count_compositions,
     enumerate_compositions,
 )
 
@@ -160,33 +159,22 @@ def _sigs(k, m):
     return out
 
 
-# posets up to this size keep their classes (and, in structure, their
-# decompositions) cached; sweeps clear every cache after a larger one
-CACHE_LIMIT = 50_000
-_classes_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]]:
     """Group all of the (n, m) composition poset by signature.
 
     Classes appear in the enumerate_signatures order; empty classes are
     kept (as empty tuples) so callers can report them.  Elements within
-    a class are in lexicographic order.
+    a class are in lexicographic order.  Memoized at every size, so one
+    poset is classified once until structure.clear_caches().
     """
-    key = (n, m)
-    cached = _classes_cache.get(key)
-    if cached is not None:
-        return cached
     groups: dict = {d: [] for d in enumerate_signatures(n, m)}
     for comp in enumerate_compositions(n, m):
         d = signature(comp)
         if d not in groups:
             raise InconsistencyError(f"signature {d} of {comp} not enumerated")
         groups[d].append(comp)
-    result = {d: tuple(cs) for d, cs in groups.items()}
-    if count_compositions(n, m) <= CACHE_LIMIT:
-        _classes_cache[key] = result
-    return result
+    return {d: tuple(cs) for d, cs in groups.items()}
 
 
 def signature_class(n: int, d: Signature) -> tuple[Composition, ...]:

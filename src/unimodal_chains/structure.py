@@ -11,6 +11,7 @@ centered and unimodal, which is exactly the unimodality certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -29,9 +30,7 @@ from .posets import (
 )
 from .qpoly import gaussian, is_unimodal
 from .statistics import (
-    CACHE_LIMIT,
     Signature,
-    _classes_cache,
     _components,
     chain_length,
     degree,
@@ -42,7 +41,7 @@ from .statistics import (
     signature_mass,
     spread,
 )
-from .transversal import Chain, flip_chain, transversal_chain
+from .transversal import Chain, _lower_path, flip_chain, transversal_chain
 
 
 def section(b: Composition, r: int, s: int) -> Composition:
@@ -330,13 +329,14 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
     if n >= 2:
         for a in cls:
             pa = remove_maximal_pairs(a)
+            successors = _chain_successors(a)
             for _, up in upper_covers(a):
                 if up not in cls_set:
                     continue
                 pu = remove_maximal_pairs(up)
                 if pa != pu and not leq(pa, pu):
                     checks["projection_order_preserving"].add({"lower": a, "upper": up})
-                if not _same_transversal_chain(a, up):
+                if up not in successors:
                     qq = _raise_to_initial(a)[1][2:]
                     pp = _raise_to_initial(up)[1][2:]
                     if cover_color(qq, pp) is None:
@@ -346,16 +346,16 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
     return report
 
 
-def _same_transversal_chain(a: Composition, up: Composition) -> bool:
-    """True iff the cover a -> up is a step of some transversal chain of a."""
+def _chain_successors(a: Composition) -> set[Composition]:
+    """The element after a on each of its transversal chains, if any.
+
+    A cover a -> up is a step of some transversal chain of a exactly
+    when up is in this set; each chain continues below a along the
+    lowering path of its component.
+    """
     _, runs = _components(a)
-    for start, _ in runs:
-        ch = transversal_chain(a, start)
-        elems = ch.elements()
-        pos = elems.index(a)
-        if pos + 1 < len(elems) and elems[pos + 1] == up:
-            return True
-    return False
+    paths = (_lower_path(a, start)[0] for start, _ in runs)
+    return {path[1] for path in paths if len(path) > 1}
 
 
 @dataclass
@@ -377,9 +377,6 @@ class Decomposition:
         return [ch for cd in self.classes for ch in cd.chains]
 
 
-_decompose_cache: dict = {}
-
-
 def decompose_class(n: int, d: Signature) -> list[Chain]:
     """Partition one signature class into saturated chains.
 
@@ -391,43 +388,41 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
     """
     d = tuple(d)
     cls = signature_class(n, d)
-    if not cls:
-        return []
-    top = min(cls, key=rank)
-    r = degree(top)
+    return list(_class_decomposition(n, d, cls).chains) if cls else []
+
+
+def _class_decomposition(n: int, d: Signature, cls) -> ClassDecomposition:
+    """decompose_class of the nonempty class cls, its top found once."""
+    r = degree(min(cls, key=rank))
     s = sum(d)
     ell = chain_length(n, d)
     if ell == 0 or r == 0:
-        return [Chain(a, ()) for a in cls]
-    base = signature_class(n - 2 * r, d[r:])
-    if r == 1:
-        return [transversal_chain((s, 0) + b, 0) for b in base]
-    sub_chains = _decompose_chains(r, ell)
-    out = []
-    for b in base:
-        rebuilt = _fiber_by_coordinates(b, r, s, ell)
-        for sub in sub_chains:
-            images = [rebuilt[from_gaps(e)] for e in sub.elements()]
-            colors = []
-            for low, high in zip(images, images[1:]):
-                c = cover_color(low, high)
-                if c is None:
-                    raise InconsistencyError(
-                        f"transported chain not saturated at {low} -> {high}"
-                    )
-                colors.append(c)
-            out.append(Chain(images[0], tuple(colors)))
-    return out
+        chains = [Chain(a, ()) for a in cls]
+    elif r == 1:
+        base = signature_class(n - 2, d[1:])
+        chains = [transversal_chain((s, 0) + b, 0) for b in base]
+    else:
+        sub_chains = _decompose_chains(r, ell)
+        chains = []
+        for b in signature_class(n - 2 * r, d[r:]):
+            rebuilt = _fiber_by_coordinates(b, r, s, ell)
+            for sub in sub_chains:
+                images = [rebuilt[from_gaps(e)] for e in sub.elements()]
+                colors = []
+                for low, high in zip(images, images[1:]):
+                    c = cover_color(low, high)
+                    if c is None:
+                        raise InconsistencyError(
+                            f"transported chain not saturated at {low} -> {high}"
+                        )
+                    colors.append(c)
+                chains.append(Chain(images[0], tuple(colors)))
+    return ClassDecomposition(d, r, ell, tuple(chains))
 
 
+@lru_cache(maxsize=None)
 def _decompose_chains(n: int, m: int) -> tuple[Chain, ...]:
-    key = (n, m)
-    cached = _decompose_cache.get(key)
-    if cached is None:
-        cached = tuple(decompose_all(n, m).chains())
-        if count_compositions(n, m) <= CACHE_LIMIT:
-            _decompose_cache[key] = cached
-    return cached
+    return tuple(decompose_all(n, m).chains())
 
 
 def decompose_all(n: int, m: int) -> Decomposition:
@@ -438,17 +433,9 @@ def decompose_all(n: int, m: int) -> Decomposition:
     """
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")
-    classes = signature_classes(n, m)
-    out = []
-    for d, cls in classes.items():
-        if not cls:
-            continue
-        chains = decompose_class(n, d)
-        top = min(cls, key=rank)
-        out.append(
-            ClassDecomposition(d, degree(top), chain_length(n, d), tuple(chains))
-        )
-    return _indexed(n, m, tuple(out))
+    classes = signature_classes(n, m).items()
+    out = tuple(_class_decomposition(n, d, cls) for d, cls in classes if cls)
+    return _indexed(n, m, out)
 
 
 def _indexed(n: int, m: int, classes) -> Decomposition:
@@ -580,5 +567,5 @@ def decomposition_from_dict(data: dict) -> Decomposition:
 def clear_caches() -> None:
     """Drop memoized signatures, classes and decompositions."""
     signature.cache_clear()
-    _classes_cache.clear()
-    _decompose_cache.clear()
+    signature_classes.cache_clear()
+    _decompose_chains.cache_clear()

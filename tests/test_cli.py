@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -149,6 +150,16 @@ def test_gaussian_command(capsys):
 
 def test_gaussian_resource_guard(capsys):
     assert main(["gaussian", "--m", "100000", "--n", "100000"]) == 3
+
+
+@pytest.mark.parametrize("command", ["classes", "decompose", "verify"])
+def test_poset_size_guard(capsys, command):
+    # C(60, 30) elements: refused before any of them is enumerated
+    start = time.perf_counter()
+    code = main([command, "--n", "30", "--m", "30"])
+    assert code == 3 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "MAX_POSET_SIZE" in err and "Traceback" not in err
 
 
 def test_output_determinism(capsys):

@@ -107,3 +107,26 @@ def test_run_pair_report_shapes():
         d = r.to_dict()
         assert d["n"] == 2 and d["m"] == 2
         assert isinstance(r.to_text(), str)
+
+
+def test_run_pair_classifies_the_poset_once(monkeypatch):
+    from unimodal_chains import statistics, structure
+
+    structure.clear_caches()
+    real = statistics.enumerate_compositions
+    calls = []
+
+    def spy(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(statistics, "enumerate_compositions", spy)
+    oracle.run_pair(7, 7)
+    assert calls.count((7, 7)) == 1
+    # run_pair cleared every cache after the poset
+    for cached in (
+        statistics.signature,
+        statistics.signature_classes,
+        structure._decompose_chains,
+    ):
+        assert cached.cache_info().currsize == 0

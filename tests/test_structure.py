@@ -309,3 +309,31 @@ def test_decomposition_from_dict_rejects_non_partition(chains, error):
 def test_decompose_rejects_bad_input():
     with pytest.raises(ValueError):
         decompose_all(-1, 2)
+
+
+def test_chain_successors_match_chain_walks():
+    # the successor set of verify_split_extension against a walk of every
+    # chain through a, over every cover inside a class of the small sweep
+    from unimodal_chains.oracle import sweep_pairs
+    from unimodal_chains.posets import upper_covers
+    from unimodal_chains.structure import _chain_successors
+    from unimodal_chains.transversal import chains_through
+
+    covers = 0
+    for n, m in sweep_pairs(1000, 12):
+        if n < 2:
+            continue
+        for cls in signature_classes(n, m).values():
+            cls_set = set(cls)
+            for a in cls:
+                walked = set()
+                for ch in chains_through(a):
+                    elems = ch.elements()
+                    pos = elems.index(a)
+                    walked.update(elems[pos + 1 : pos + 2])
+                fast = _chain_successors(a)
+                for _, up in upper_covers(a):
+                    if up in cls_set:
+                        covers += 1
+                        assert (up in fast) == (up in walked), (a, up)
+    assert covers > 10_000
