@@ -1,7 +1,8 @@
 """Command-line surface: statistics, class listings, decomposition, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-guard.  All output is deterministic for identical invocations.
+Exit codes: 0 success, 1 verification failure or stdout closed early (as
+Python itself exits on a broken pipe), 2 usage error, 3 resource guard.
+All output is deterministic for identical invocations.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ from .statistics import (
     remove_maximal_pairs,
     signature,
     signature_classes,
-    signature_mass,
-    spread,
 )
 from .structure import decompose_all, decomposition_to_dict
-from .oracle import DEFAULT_WAIVED, run_pair, run_sweep
+from .oracle import DEFAULT_WAIVED, run_pair, run_sweep, sweep_pairs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -178,10 +177,16 @@ def cmd_verify(args) -> int:
     env_jobs = os.environ.get("UNIMODAL_CHAINS_JOBS")
     if env_jobs:
         jobs = int(env_jobs)
+    if jobs < 1:
+        raise ValueError(f"verify needs at least one worker, got {jobs} "
+                         "(--jobs or UNIMODAL_CHAINS_JOBS)")
     if (args.n is None) != (args.m is None):
         raise ValueError("verify takes both --n and --m, or neither for a sweep")
     if args.n is not None:
         reports = run_pair(args.n, args.m)
+    elif not sweep_pairs(args.max_size, args.max_dim):
+        raise ValueError(f"--max-size {args.max_size} and --max-dim "
+                         f"{args.max_dim} select no poset")
     else:
         reports = run_sweep(max_size=args.max_size, max_dim=args.max_dim, jobs=jobs)
     if args.format == "json":
@@ -265,7 +270,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here so a reader that closed stdout early is caught below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # raises nothing more, and exit 1 as Python does on a broken pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFY
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -21,15 +21,12 @@ from .posets import (
     format_composition,
     from_gaps,
     cover_color,
-    rank,
-    upper_covers,
     weight,
 )
 from .qpoly import gaussian, rank_generating_function
 from .statistics import (
     chain_length,
     degree,
-    enumerate_signatures,
     highest_weight,
     maximal_structure,
     remove_maximal_pairs,
@@ -363,14 +360,8 @@ def check_chains(n: int, m: int) -> VerificationReport:
     return VerificationReport("chains", n, m, checks, time.time() - t0)
 
 
-def check_structure(
-    n: int, m: int, include_decomposition: bool = True
-) -> VerificationReport:
-    """Split extensions, the full decomposition, and the certificate.
-
-    The decomposition and certificate can be skipped for very large
-    posets; the per-class split-extension checks always run.
-    """
+def check_structure(n: int, m: int) -> VerificationReport:
+    """Split extensions, the full decomposition, and the certificate."""
     t0 = time.time()
     gen_fun = CheckResult("rank_generating_function")
     split_checks: dict[str, CheckResult] = {}
@@ -403,26 +394,24 @@ def check_structure(
         )
         sec.info["degenerate_classes"] = degenerate
 
-    checks = [gen_fun, *split_checks.values()]
-    if include_decomposition:
-        try:
-            dec = decompose_all(n, m)
-            _, offenders = flip_stability(dec)
-            for ch in offenders:
-                tau_stable.add({"chain": ch.to_dict()})
-            cert = unimodality_certificate(dec)
-            if not cert.passed():
-                certificate.add(
-                    {
-                        "symmetric": cert.symmetric_lengths,
-                        "unimodal": cert.unimodal_lengths,
-                        "matches_gaussian": cert.matches_gaussian,
-                    }
-                )
-            certificate.info["chains"] = sum(len(c.chains) for c in dec.classes)
-        except InconsistencyError as exc:
-            partition.add({"error": str(exc)})
-        checks += [partition, tau_stable, certificate]
+    try:
+        dec = decompose_all(n, m)
+        _, offenders = flip_stability(dec)
+        for ch in offenders:
+            tau_stable.add({"chain": ch.to_dict()})
+        cert = unimodality_certificate(dec)
+        if not cert.passed():
+            certificate.add(
+                {
+                    "symmetric": cert.symmetric_lengths,
+                    "unimodal": cert.unimodal_lengths,
+                    "matches_gaussian": cert.matches_gaussian,
+                }
+            )
+        certificate.info["chains"] = sum(len(c.chains) for c in dec.classes)
+    except InconsistencyError as exc:
+        partition.add({"error": str(exc)})
+    checks = [gen_fun, *split_checks.values(), partition, tau_stable, certificate]
     return VerificationReport("structure", n, m, checks, time.time() - t0)
 
 
@@ -436,34 +425,25 @@ def sweep_pairs(max_size: int, max_dim: int = 12) -> list[tuple[int, int]]:
     ]
 
 
-def run_pair(n: int, m: int, decomposition_max: int | None = None):
+def run_pair(n: int, m: int):
     """Statistics, chain and structure reports of one poset.
 
-    The decomposition checks are skipped above decomposition_max elements
-    (None: never).  The poset is classified once for all three, and every
-    cache is cleared after it, so the caches hold one poset at a time.
+    Every poset gets every check, the full decomposition and its
+    certificate included.  The poset is classified once for all three,
+    and every cache is cleared after it, so the caches hold one poset at
+    a time.
     """
-    size = count_compositions(n, m)
-    with_decomposition = decomposition_max is None or size <= decomposition_max
-    reports = [
-        check_statistics(n, m),
-        check_chains(n, m),
-        check_structure(n, m, include_decomposition=with_decomposition),
-    ]
+    reports = [check_statistics(n, m), check_chains(n, m), check_structure(n, m)]
     clear_caches()
     return reports
 
 
 def run_sweep(
-    max_size: int = 200_000,
-    max_dim: int = 12,
-    jobs: int = 1,
-    decomposition_max: int | None = None,
+    max_size: int = 200_000, max_dim: int = 12, jobs: int = 1
 ) -> list[VerificationReport]:
     """run_pair over every (n, m) within the bounds, reports sorted."""
     pairs = sweep_pairs(max_size, max_dim)
-    gates = [decomposition_max] * len(pairs)
-    args = ([n for n, _ in pairs], [m for _, m in pairs], gates)
+    args = ([n for n, _ in pairs], [m for _, m in pairs])
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -177,8 +177,9 @@ def _partition_suffix_matrix(elements):
     return rev[:, 1:]
 
 
-def _leq_matrix(suffixes, block=1024):
+def _leq_matrix(suffixes):
     """Boolean comparability matrix from suffix-sum rows."""
+    block = 1024  # rows compared at a time, to bound the temporary array
     count = suffixes.shape[0]
     out = np.empty((count, count), dtype=bool)
     if suffixes.shape[1] == 0:

@@ -1,8 +1,9 @@
 """Acceptance gate: every criterion checked exactly, one line per criterion.
 
 All tolerances are zero; every comparison is exact integer equality.
-The sweeps cover the (n, m) grid up to 12 per axis with poset size at
-most 200,000 (50,000 for the full-decomposition criteria).  Run with
+The sweep covers the (n, m) grid up to 12 per axis with poset size at
+most 200,000, and every criterion, the full decomposition and its
+certificate included, covers every poset of it.  Run with
 ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 The sweep is one ``oracle.run_sweep`` call, regrouped by (n, m) here; it
 runs on two worker processes where two CPUs are available (it is most of
@@ -39,7 +40,6 @@ from unimodal_chains.transversal import transversal_chain
 
 SWEEP_MAX_SIZE = 200_000
 SWEEP_MAX_DIM = 12
-DECOMPOSITION_MAX = 50_000
 DATA_DIR = Path(__file__).parent / "data"
 
 _RESULTS: dict = {}
@@ -63,10 +63,7 @@ def _run_sweep():
     """Every report of the sweep, keyed by (n, m) then scope."""
     out: dict = {}
     for report in oracle.run_sweep(
-        max_size=SWEEP_MAX_SIZE,
-        max_dim=SWEEP_MAX_DIM,
-        jobs=_sweep_jobs(),
-        decomposition_max=DECOMPOSITION_MAX,
+        max_size=SWEEP_MAX_SIZE, max_dim=SWEEP_MAX_DIM, jobs=_sweep_jobs()
     ):
         out.setdefault((report.n, report.m), {})[report.scope] = report
     return out
@@ -304,15 +301,13 @@ def test_criterion_6_decomposition_certificate(sweep):
     bad = []
     counted = 0
     for (n, m), reports in sorted(sweep.items()):
-        if count_compositions(n, m) > DECOMPOSITION_MAX:
-            continue
-        counted += 1
-        present = {c.name for c in reports["structure"].checks}
-        assert names <= present, (n, m)
-        for c in reports["structure"].checks:
-            if c.name in names and not c.passed:
-                bad.append((n, m, c.name))
-    _line(6, "decomposition certificate", not bad, f"{counted} posets")
+        checks = [c for c in reports["structure"].checks if c.name in names]
+        # every sweep poset carries all three decomposition checks
+        counted += {c.name for c in checks} == names
+        bad += [(n, m, c.name) for c in checks if not c.passed]
+    _line(6, "decomposition certificate", not bad and counted == len(sweep),
+          f"{counted} posets")
+    assert counted == len(sweep)
     assert not bad, bad
 
 

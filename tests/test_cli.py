@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +127,31 @@ def test_verify_needs_both_n_and_m(capsys):
     assert captured.err.count("usage error: verify takes both --n and --m") == 2
 
 
+@pytest.mark.parametrize(
+    "argv,env_jobs",
+    [
+        (["--max-dim", "-1"], None),
+        (["--max-size", "0"], None),
+        (["--jobs", "0"], None),
+        (["--jobs", "-3"], None),
+        (["--n", "2", "--m", "2", "--jobs", "0"], None),
+        (["--n", "2", "--m", "2"], "0"),
+        (["--jobs", "2"], "-3"),
+    ],
+    ids=["max-dim-negative", "max-size-zero", "jobs-zero", "jobs-negative",
+         "one-pair-jobs-zero", "env-jobs-zero", "env-jobs-negative"],
+)
+def test_verify_arguments_that_select_nothing(capsys, monkeypatch, argv, env_jobs):
+    # each would otherwise print nothing or run serially, and exit 0
+    if env_jobs is None:
+        monkeypatch.delenv("UNIMODAL_CHAINS_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("UNIMODAL_CHAINS_JOBS", env_jobs)
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error:" in captured.err
+
+
 def test_verify_json_format(capsys):
     code, out = run(capsys, "verify", "--n", "2", "--m", "2", "--format", "json")
     reports = json.loads(out)
@@ -160,6 +189,30 @@ def test_poset_size_guard(capsys, command):
     assert code == 3 and time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "MAX_POSET_SIZE" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classes", "--n", "5", "--m", "5"], ["gaussian", "--m", "2", "--n", "2"]],
+    ids=["classes", "gaussian"],
+)
+def test_stdout_closed_by_the_reader(argv):
+    # the read end is closed before the command writes anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "unimodal_chains.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_output_determinism(capsys):
