@@ -40,7 +40,6 @@ from .statistics import (
     degree,
     enumerate_signatures,
     highest_weight,
-    maximal_pairs,
     maximal_structure,
     remove_maximal_pairs,
     signature,
@@ -51,7 +50,6 @@ from .statistics import (
 )
 from .structure import (
     Decomposition,
-    SplitExtensionReport,
     UnimodalityCertificate,
     decompose_all,
     decompose_class,
@@ -63,8 +61,8 @@ from .structure import (
     flip_stability,
     section,
     unimodality_certificate,
-    verify_split_extension,
 )
+from .oracle import SplitExtensionReport, verify_split_extension
 from .transversal import (
     Chain,
     chains_through,

@@ -35,7 +35,7 @@ from .statistics import (
     signature_classes,
 )
 from .structure import decompose_all, decomposition_to_dict
-from .oracle import DEFAULT_WAIVED, run_pair, run_sweep, sweep_pairs
+from .oracle import DEFAULT_WAIVED, SPLIT_DEFECT_CHECKS, run_pair, run_sweep, sweep_pairs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -167,16 +167,22 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     waived = set(DEFAULT_WAIVED)
+    withdrawn = []  # the --no-waive-* flags, repeated in reproducing commands
     if not args.waive_degree_formula:
         waived.discard("degree_formula")
+        withdrawn.append("--no-waive-degree-formula")
     if not args.waive_projection_order:
-        waived.discard("projection_order_preserving")
-        waived.discard("stripped_cover_preserved")
+        waived.difference_update(SPLIT_DEFECT_CHECKS)
+        withdrawn.append("--no-waive-projection-order")
     waived = frozenset(waived)
     jobs = args.jobs
     env_jobs = os.environ.get("UNIMODAL_CHAINS_JOBS")
     if env_jobs:
-        jobs = int(env_jobs)
+        try:
+            jobs = int(env_jobs)
+        except ValueError:
+            raise ValueError(f"UNIMODAL_CHAINS_JOBS must be an integer, "
+                             f"got {env_jobs!r}") from None
     if jobs < 1:
         raise ValueError(f"verify needs at least one worker, got {jobs} "
                          "(--jobs or UNIMODAL_CHAINS_JOBS)")
@@ -200,6 +206,9 @@ def cmd_verify(args) -> int:
             {name for r in reports for name in r.failed_names(waived)}
         )
         print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
+        for n, m in sorted({(r.n, r.m) for r in reports if not r.passed(waived)}):
+            print(f"unimodal-chains verify --n {n} --m {m}", *withdrawn,
+                  file=sys.stderr)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -270,6 +279,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("n", "m"):  # one message for every command's --n and --m
+            if (value := getattr(args, flag, None)) is not None and value < 0:
+                raise ValueError(f"--{flag} must be >= 0, got {value}")
         code = args.func(args)
         # flush here so a reader that closed stdout early is caught below
         sys.stdout.flush()

@@ -52,12 +52,6 @@ def _components(comp):
     return s, runs
 
 
-def maximal_pairs(comp: Composition) -> tuple[int, ...]:
-    """Left indices i with comp[i] + comp[i+1] equal to the spread."""
-    _, runs = _components(comp)
-    return tuple(i for start, end in runs for i in range(start, end + 1))
-
-
 @dataclass(frozen=True)
 class MaximalStructure:
     spread: int

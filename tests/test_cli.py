@@ -137,9 +137,11 @@ def test_verify_needs_both_n_and_m(capsys):
         (["--n", "2", "--m", "2", "--jobs", "0"], None),
         (["--n", "2", "--m", "2"], "0"),
         (["--jobs", "2"], "-3"),
+        (["--n", "2", "--m", "2"], "abc"),
     ],
     ids=["max-dim-negative", "max-size-zero", "jobs-zero", "jobs-negative",
-         "one-pair-jobs-zero", "env-jobs-zero", "env-jobs-negative"],
+         "one-pair-jobs-zero", "env-jobs-zero", "env-jobs-negative",
+         "env-jobs-not-a-number"],
 )
 def test_verify_arguments_that_select_nothing(capsys, monkeypatch, argv, env_jobs):
     # each would otherwise print nothing or run serially, and exit 0
@@ -150,6 +152,44 @@ def test_verify_arguments_that_select_nothing(capsys, monkeypatch, argv, env_job
     assert main(["verify", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "usage error:" in captured.err
+    if env_jobs is not None:
+        # the message names the variable and its value
+        assert "UNIMODAL_CHAINS_JOBS" in captured.err and env_jobs in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["classes", "--n", "-1", "--m", "2"], "--n -1"),
+        (["verify", "--n", "-1", "--m", "2"], "--n -1"),
+        (["classes", "--n", "2", "--m", "-1"], "--m -1"),
+        (["decompose", "--n", "3", "--m", "-2"], "--m -2"),
+        (["gaussian", "--m", "-1", "--n", "2"], "--m -1"),
+        (["signature", "[1,0]", "--as-partition", "--n", "-1"], "--n -1"),
+    ],
+    ids=["classes-n", "verify-n", "classes-m", "decompose-m", "gaussian-m",
+         "signature-n"],
+)
+def test_negative_n_or_m_names_the_flag(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    name, value = flag.split()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {name} must be >= 0, got {value}\n"
+
+
+def test_verify_failure_names_reproducing_commands(capsys):
+    argv = ["verify", "--max-size", "300", "--max-dim", "5",
+            "--no-waive-projection-order"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("FAILED checks: ")
+    posets = [(3, 3), (3, 5), (4, 3), (4, 5), (5, 3), (5, 4), (5, 5)]
+    assert lines[1:] == [
+        f"unimodal-chains verify --n {n} --m {m} --no-waive-projection-order"
+        for n, m in posets
+    ]
+    assert main(lines[-1].split()[1:]) == 1
 
 
 def test_verify_json_format(capsys):

@@ -59,16 +59,15 @@ def test_structure_projection_census_on_5_5():
 def test_failed_section_order_is_recorded(monkeypatch):
     # swap the two section images of class (1,1) at n=3 before their
     # order is compared, so the section reverses the base order
-    from unimodal_chains import structure
     from unimodal_chains.statistics import signature_class
 
     images = [(2, 0) + b for b in signature_class(1, (1,))]
-    real = structure._partition_suffix_matrix
+    real = oracle._partition_suffix_matrix
 
     def swapped(elements):
         return real(images[::-1] if list(elements) == images else elements)
 
-    monkeypatch.setattr(structure, "_partition_suffix_matrix", swapped)
+    monkeypatch.setattr(oracle, "_partition_suffix_matrix", swapped)
     rep = oracle.check_structure(3, 3)
     check = next(c for c in rep.checks if c.name == "section_order_preserving")
     assert not check.passed

@@ -28,8 +28,8 @@ from unimodal_chains.structure import (
     flip_stability,
     section,
     unimodality_certificate,
-    verify_split_extension,
 )
+from unimodal_chains.oracle import verify_split_extension
 
 
 def test_section_examples():
@@ -314,9 +314,8 @@ def test_decompose_rejects_bad_input():
 def test_chain_successors_match_chain_walks():
     # the successor set of verify_split_extension against a walk of every
     # chain through a, over every cover inside a class of the small sweep
-    from unimodal_chains.oracle import sweep_pairs
+    from unimodal_chains.oracle import _chain_successors, sweep_pairs
     from unimodal_chains.posets import upper_covers
-    from unimodal_chains.structure import _chain_successors
     from unimodal_chains.transversal import chains_through
 
     covers = 0
