@@ -3,9 +3,10 @@
 Each check recomputes its target through a route the optimized code
 never takes: partition-side window maxima for spread and degree,
 exhaustive removal orders for the removal map, set algebra for class
-partitions, full re-walks of every chain, and numpy order matrices for
-the split extensions that structure builds (numpy is used nowhere else).
-Failures are recorded with reproducible inputs, never raised.
+partitions, one re-walk of each distinct chain per class with every
+element checked for membership in its chains, and numpy order matrices
+for the split extensions that structure builds (numpy is used nowhere
+else).  Failures are recorded with reproducible inputs, never raised.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .structure import (
     unimodality_certificate,
 )
 from .transversal import (
-    _lower_path,
     chains_through,
     closed_form_colors,
     closed_form_terminal,
@@ -328,7 +328,14 @@ def check_statistics(n: int, m: int) -> VerificationReport:
 
 
 def check_chains(n: int, m: int) -> VerificationReport:
-    """Exhaustive checks of both algorithms and every transversal chain."""
+    """Exhaustive checks of both algorithms and every transversal chain.
+
+    Within a class, each distinct chain (top and colors) from
+    chains_through is re-walked once from its top, and its length,
+    saturation, class invariance and endpoints are checked on that walk;
+    a failing chain is recorded once.  Every element is still checked for
+    membership in each of its chains against the walked element set.
+    """
     t0 = time.time()
     bijection = CheckResult("chains_per_component")
     invariance = CheckResult("statistic_invariance_on_chains")
@@ -345,6 +352,7 @@ def check_chains(n: int, m: int) -> VerificationReport:
             continue
         cset = set(cls)
         ell = chain_length(n, d)
+        walked: dict = {}  # element set of each chain of the class seen so far
         for a in cls:
             if n < 1:
                 continue
@@ -355,24 +363,28 @@ def check_chains(n: int, m: int) -> VerificationReport:
             ) != len(chains):
                 bijection.add({"element": a, "repro": _repro(a)})
             for ch in chains:
-                elems = ch.elements()
-                if a not in elems:
+                key = (ch.top, ch.colors)
+                if key not in walked:
+                    # first sight of this chain: walk and check it once
+                    elems = ch.elements()
+                    walked[key] = set(elems)
+                    if ch.length != ell:
+                        uniform.add(
+                            {"element": a, "length": ch.length, "expected": ell,
+                             "repro": _repro(a)}
+                        )
+                    if any(e not in cset for e in elems):
+                        invariance.add({"element": a, "chain": ch.to_dict()})
+                    # a verified cover forces the rank +1 / weight -2 step
+                    for low, high in zip(elems, elems[1:]):
+                        if cover_color(low, high) is None:
+                            saturation.add({"lower": low, "upper": high})
+                    if m > 0 and not (
+                        is_initial(elems[0]) and is_terminal(elems[-1])
+                    ):
+                        endpoints.add({"chain": ch.to_dict()})
+                if a not in walked[key]:
                     bijection.add({"element": a, "chain": ch.to_dict()})
-                if ch.length != ell:
-                    uniform.add(
-                        {"element": a, "length": ch.length, "expected": ell,
-                         "repro": _repro(a)}
-                    )
-                if any(e not in cset for e in elems):
-                    invariance.add({"element": a, "chain": ch.to_dict()})
-                # a verified cover forces the rank +1 / weight -2 step
-                for low, high in zip(elems, elems[1:]):
-                    if cover_color(low, high) is None:
-                        saturation.add({"lower": low, "upper": high})
-                if m > 0 and not (
-                    is_initial(elems[0]) and is_terminal(elems[-1])
-                ):
-                    endpoints.add({"chain": ch.to_dict()})
             if m > 0 and is_initial(a):
                 ch0 = transversal_chain(a, 0)
                 if ch0.colors != closed_form_colors(a) or ch0.bottom() != (
@@ -465,8 +477,8 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
     report.degenerate = any(s <= spread(b) for b in base)
 
     fibers: dict = {}
-    for a in cls:
-        image = remove_maximal_pairs(a)
+    proj = {a: remove_maximal_pairs(a) for a in cls}
+    for a, image in proj.items():
         if image not in base_set:
             checks["projection_into_base"].add({"element": a, "image": image})
         fibers.setdefault(image, []).append(a)
@@ -543,18 +555,26 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
         # total; bijection + cover correspondence already pin the isomorphism.
 
     if n >= 2:
+        stripped: dict = {}
+
+        def strip(x):
+            got = stripped.get(x)
+            if got is None:
+                got = stripped[x] = _raise_to_initial(x)[1][2:]
+            return got
+
         for a in cls:
-            pa = remove_maximal_pairs(a)
+            pa = proj[a]
             successors = _chain_successors(a)
             for _, up in upper_covers(a):
                 if up not in cls_set:
                     continue
-                pu = remove_maximal_pairs(up)
+                pu = proj[up]
                 if pa != pu and not leq(pa, pu):
                     checks["projection_order_preserving"].add({"lower": a, "upper": up})
                 if up not in successors:
-                    qq = _raise_to_initial(a)[1][2:]
-                    pp = _raise_to_initial(up)[1][2:]
+                    qq = strip(a)
+                    pp = strip(up)
                     if cover_color(qq, pp) is None:
                         checks["stripped_cover_preserved"].add(
                             {"lower": a, "upper": up, "stripped": (qq, pp)}
@@ -567,11 +587,21 @@ def _chain_successors(a: Composition) -> set[Composition]:
 
     A cover a -> up is a step of some transversal chain of a exactly
     when up is in this set; each chain continues below a along the
-    lowering path of its component.
+    lowering path of its component.  Only the first move of each path is
+    taken: from the pair with right index start + 1, drift right while
+    a[j-1] <= a[j+1], then move a unit from entry j-1 to entry j, unless
+    the drift reached j = n with a[n-1] = 0 (a terminal element).
     """
+    n = len(a) - 1
     _, runs = _components(a)
-    paths = (_lower_path(a, start)[0] for start, _ in runs)
-    return {path[1] for path in paths if len(path) > 1}
+    out = set()
+    for start, _ in runs:
+        j = start + 1
+        while j < n and a[j - 1] <= a[j + 1]:
+            j += 1
+        if a[j - 1] > 0:
+            out.add(a[: j - 1] + (a[j - 1] - 1, a[j] + 1) + a[j + 1 :])
+    return out
 
 
 def check_structure(n: int, m: int) -> VerificationReport:

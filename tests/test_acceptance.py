@@ -48,9 +48,16 @@ _RESULTS: dict = {}
 def _sweep_jobs():
     """UNIMODAL_CHAINS_JOBS, else two workers where two CPUs are available."""
     env_jobs = os.environ.get("UNIMODAL_CHAINS_JOBS")
-    if env_jobs:
-        return int(env_jobs)
-    return min(2, len(os.sched_getaffinity(0)))
+    if not env_jobs:
+        return min(2, len(os.sched_getaffinity(0)))
+    try:
+        jobs = int(env_jobs)
+    except ValueError:
+        raise ValueError(f"UNIMODAL_CHAINS_JOBS must be an integer, "
+                         f"got {env_jobs!r}") from None
+    if jobs < 1:
+        raise ValueError(f"UNIMODAL_CHAINS_JOBS must be at least 1, got {jobs}")
+    return jobs
 
 
 def _line(num, name, ok, detail=""):
@@ -345,6 +352,20 @@ def test_criterion_8_spot_values():
     assert ch.bottom() == (0, 0, 2)
     assert gaussian(2, 2) == (1, 1, 2, 1, 1)
     assert fiber_coordinates((0, 1, 1), (0,)) == (3,)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_sweep_jobs_rejects_a_bad_worker_count(monkeypatch, value):
+    monkeypatch.setenv("UNIMODAL_CHAINS_JOBS", value)
+    with pytest.raises(ValueError, match=f"UNIMODAL_CHAINS_JOBS .*{value}"):
+        _sweep_jobs()
+
+
+def test_sweep_jobs_reads_a_worker_count(monkeypatch):
+    monkeypatch.setenv("UNIMODAL_CHAINS_JOBS", "3")
+    assert _sweep_jobs() == 3
+    monkeypatch.delenv("UNIMODAL_CHAINS_JOBS")
+    assert _sweep_jobs() == min(2, len(os.sched_getaffinity(0)))
 
 
 if __name__ == "__main__":

@@ -129,3 +129,93 @@ def test_run_pair_classifies_the_poset_once(monkeypatch):
         structure._decompose_chains,
     ):
         assert cached.cache_info().currsize == 0
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def test_chain_saturation_records_each_bad_chain_once(monkeypatch):
+    # two chains of (5,5) whose walk takes two color steps at once, so
+    # one step is not a cover; each is on several elements' chain lists
+    from unimodal_chains.posets import cover_color
+    from unimodal_chains.transversal import Chain
+
+    class TwoStepsAtOnce(Chain):
+        def elements(self):
+            walk = super().elements()
+            return walk[:1] + walk[2:]
+
+    real = oracle.chains_through
+    targets = set()
+    for a in oracle.enumerate_compositions(5, 5):
+        for ch in real(a):
+            if ch.length >= 2 and len(targets) < 2:
+                targets.add((ch.top, ch.colors))
+
+    def faulty(a):
+        return [TwoStepsAtOnce(c.top, c.colors) if (c.top, c.colors) in targets
+                else c for c in real(a)]
+
+    monkeypatch.setattr(oracle, "chains_through", faulty)
+    rep = oracle.check_chains(5, 5)
+    saturation = _check(rep, "chain_saturation")
+    assert not saturation.passed
+    assert saturation.failures == len(targets) == 2
+    tops = {top for top, _ in targets}
+    for ce in saturation.counterexamples:
+        assert ce["lower"] in tops
+        assert cover_color(ce["lower"], ce["upper"]) is None
+
+
+def test_chain_membership_checked_for_every_element(monkeypatch):
+    # give a the chain of an earlier element of its class that misses a,
+    # so that chain was already walked when a's pair is checked
+    from unimodal_chains.statistics import signature_classes
+
+    real = oracle.chains_through
+
+    def swaps():
+        for cls in signature_classes(5, 5).values():
+            for i, a in enumerate(cls):
+                own = {(c.top, c.colors) for c in real(a)}
+                for b in cls[:i]:
+                    for ch in real(b):
+                        if (ch.top, ch.colors) not in own and a not in ch.elements():
+                            yield a, ch
+
+    target, foreign = next(swaps())
+
+    def faulty(a):
+        chains = real(a)
+        return [foreign, *chains[1:]] if a == target else chains
+
+    monkeypatch.setattr(oracle, "chains_through", faulty)
+    rep = oracle.check_chains(5, 5)
+    bijection = _check(rep, "chains_per_component")
+    assert bijection.failures == 1
+    assert bijection.counterexamples == [
+        {"element": target, "chain": foreign.to_dict()}
+    ]
+    assert rep.failed_names() == ["chains_per_component"]
+
+
+def test_check_chains_checks_each_chain_step_once(monkeypatch):
+    n, m = 6, 6
+    distinct = {
+        (ch.top, ch.colors)
+        for a in oracle.enumerate_compositions(n, m)
+        for ch in oracle.chains_through(a)
+    }
+    expected = sum(len(colors) for _, colors in distinct)
+    real = oracle.cover_color
+    calls = []
+
+    def spy(lower, upper):
+        calls.append((lower, upper))
+        return real(lower, upper)
+
+    monkeypatch.setattr(oracle, "cover_color", spy)
+    rep = oracle.check_chains(n, m)
+    assert rep.failed_names() == []
+    assert len(calls) == expected > 0
