@@ -352,7 +352,9 @@ def check_chains(n: int, m: int) -> VerificationReport:
             continue
         cset = set(cls)
         ell = chain_length(n, d)
-        walked: dict = {}  # element set of each chain of the class seen so far
+        # element set of each chain of the class seen so far; None for a
+        # chain whose colors cannot be applied
+        walked: dict = {}
         for a in cls:
             if n < 1:
                 continue
@@ -366,13 +368,19 @@ def check_chains(n: int, m: int) -> VerificationReport:
                 key = (ch.top, ch.colors)
                 if key not in walked:
                     # first sight of this chain: walk and check it once
-                    elems = ch.elements()
-                    walked[key] = set(elems)
                     if ch.length != ell:
                         uniform.add(
                             {"element": a, "length": ch.length, "expected": ell,
                              "repro": _repro(a)}
                         )
+                    try:
+                        elems = ch.elements()
+                    except ValueError as exc:
+                        # a color that cannot be applied: no walk to check
+                        saturation.add({"chain": ch.to_dict(), "error": str(exc)})
+                        walked[key] = None
+                        continue
+                    walked[key] = set(elems)
                     if any(e not in cset for e in elems):
                         invariance.add({"element": a, "chain": ch.to_dict()})
                     # a verified cover forces the rank +1 / weight -2 step
@@ -383,18 +391,18 @@ def check_chains(n: int, m: int) -> VerificationReport:
                         is_initial(elems[0]) and is_terminal(elems[-1])
                     ):
                         endpoints.add({"chain": ch.to_dict()})
-                if a not in walked[key]:
+                if walked[key] is not None and a not in walked[key]:
                     bijection.add({"element": a, "chain": ch.to_dict()})
             if m > 0 and is_initial(a):
                 ch0 = transversal_chain(a, 0)
-                if ch0.colors != closed_form_colors(a) or ch0.bottom() != (
-                    closed_form_terminal(a)
-                ):
+                elems0 = ch0.elements()
+                bottom = elems0[-1]
+                if (ch0.colors != closed_form_colors(a)
+                        or bottom != closed_form_terminal(a)):
                     closed.add({"element": a, "repro": _repro(a)})
-                bottom = ch0.bottom()
                 rightmost = max(maximal_structure(bottom).mset)
                 up = raise_run(bottom, rightmost)
-                if up[::-1] != ch0.elements():
+                if up[::-1] != elems0:
                     duality.add({"element": a, "repro": _repro(a)})
                 mirrored = transversal_chain(flip(bottom), 0)
                 if flip_chain(ch0) != mirrored:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from operator import mul
 from typing import Iterator
 
 Composition = tuple  # (a_0, ..., a_n), entries >= 0
@@ -146,13 +147,13 @@ def flip(comp: Composition) -> Composition:
 
 
 def rank(comp: Composition) -> int:
-    return sum(i * a for i, a in enumerate(comp))
+    return sum(map(mul, comp, range(len(comp))))
 
 
 def weight(comp: Composition) -> int:
     """mn - 2*rank; symmetric about 0 and flipped in sign by flip()."""
     n = len(comp) - 1
-    return sum(a * (n - 2 * i) for i, a in enumerate(comp))
+    return sum(map(mul, comp, range(n, -n - 1, -2)))
 
 
 def leq(x: Composition, y: Composition) -> bool:

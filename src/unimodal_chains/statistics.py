@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul
 
 from .posets import (
     Composition,
@@ -23,32 +24,26 @@ Signature = tuple  # (d_0, ..., d_k) with k = n//2
 
 def spread(comp: Composition) -> int:
     """Max adjacent-entry sum; by convention the mass when n <= 1, 0 if empty."""
-    n = len(comp) - 1
-    if n < 0:
-        return 0
-    if n == 0:
-        return comp[0]
-    return max(comp[i] + comp[i + 1] for i in range(n))
+    if len(comp) < 2:
+        return comp[0] if comp else 0
+    return max(map(add, comp, comp[1:]))
 
 
 def _components(comp):
     """Spread plus the maximal runs of left indices of maximal pairs."""
-    n = len(comp) - 1
-    if n < 1:
+    if len(comp) < 2:
         return spread(comp), []
-    sums = [comp[i] + comp[i + 1] for i in range(n)]
+    sums = list(map(add, comp, comp[1:]))
     s = max(sums)
     runs = []
-    start = None
-    for i, v in enumerate(sums):
-        if v == s:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, n - 1))
+    start = end = sums.index(s)
+    for _ in range(sums.count(s) - 1):
+        i = sums.index(s, end + 1)
+        if i != end + 1:
+            runs.append((start, end))
+            start = i
+        end = i
+    runs.append((start, end))
     return s, runs
 
 
@@ -82,7 +77,11 @@ def remove_maximal_pairs(comp: Composition) -> Composition:
     keep their relative order.  The result has degree() fewer pairs and
     mass reduced by degree()*spread().
     """
-    _, runs = _components(comp)
+    return _remove_runs(comp, _components(comp)[1])
+
+
+def _remove_runs(comp, runs):
+    """remove_maximal_pairs() given the runs _components() found for comp."""
     if not runs:
         return comp
     out = []
@@ -113,11 +112,11 @@ def signature(comp: Composition) -> Signature:
         return (m,)
     s, runs = _components(comp)
     r = sum((end - start) // 2 + 1 for start, end in runs)
-    image = remove_maximal_pairs(comp)
+    image = _remove_runs(comp, runs)
     d = (0,) * (r - 1) + (s - spread(image),) + signature(image)
     if len(d) != n // 2 + 1:
         raise InconsistencyError(f"signature length for {comp}: {d}")
-    if sum((j + 1) * dj for j, dj in enumerate(d)) != m:
+    if sum(map(mul, d, range(1, len(d) + 1))) != m:
         raise InconsistencyError(f"signature mass for {comp}: {d}")
     if m > 0 and sum(d) != s:
         raise InconsistencyError(f"signature spread for {comp}: {d}")

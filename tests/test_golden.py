@@ -1,11 +1,17 @@
-"""Golden `verify` output: the CLI's reports must not change byte for byte.
+"""Golden CLI output: the reports must not change byte for byte.
 
 The files under tests/data/verify_*.{json,txt} are the stdout of
-``unimodal-chains verify --n N --m M --format json|text``.  After a
-deliberate change to a report, regenerate them with
+``unimodal-chains verify --n N --m M --format json|text``.  The larger
+outputs of the commands in DIGESTED are pinned by the sha256 of their
+stdout, in tests/data/cli_stdout_sha256.json.  After a deliberate
+change to an output, regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` and review their diff.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -16,6 +22,11 @@ from unimodal_chains.cli import main
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_PAIRS = [(2, 2), (3, 3), (4, 6), (5, 5)]
 FORMATS = {"json": "json", "text": "txt"}
+DIGESTED = [
+    "classes --n 12 --m 7",
+    "decompose --n 9 --m 9 --format json",
+]
+DIGEST_PATH = DATA_DIR / "cli_stdout_sha256.json"
 
 
 def _golden_path(n, m, fmt):
@@ -33,6 +44,18 @@ def test_verify_output_matches_golden(capsys, n, m, fmt):
     assert capsys.readouterr().out == _golden_path(n, m, fmt).read_text()
 
 
+def _stdout_digest(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split()) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", DIGESTED)
+def test_large_output_matches_golden_digest(command):
+    assert _stdout_digest(command) == json.loads(DIGEST_PATH.read_text())[command]
+
+
 def test_sweep_reports_do_not_depend_on_worker_count():
     serial = oracle.run_sweep(max_size=60, max_dim=4, jobs=1)
     pooled = oracle.run_sweep(max_size=60, max_dim=4, jobs=2)
@@ -41,12 +64,11 @@ def test_sweep_reports_do_not_depend_on_worker_count():
 
 
 if __name__ == "__main__":
-    import contextlib
-    import io
-
     for n, m in GOLDEN_PAIRS:
         for fmt in FORMATS:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 main(_argv(n, m, fmt))
             _golden_path(n, m, fmt).write_text(out.getvalue())
+    digests = {command: _stdout_digest(command) for command in DIGESTED}
+    DIGEST_PATH.write_text(json.dumps(digests, indent=1) + "\n")

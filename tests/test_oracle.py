@@ -219,3 +219,47 @@ def test_check_chains_checks_each_chain_step_once(monkeypatch):
     rep = oracle.check_chains(n, m)
     assert rep.failed_names() == []
     assert len(calls) == expected > 0
+
+
+def test_unappliable_chain_color_is_recorded(monkeypatch):
+    # color 2 moves a unit out of entry 1, which is empty in (3,0,0);
+    # every element gets this chain, so it is recorded once per class
+    from unimodal_chains.statistics import signature_classes
+    from unimodal_chains.transversal import Chain
+
+    bad = Chain((3, 0, 0), (2, 1))
+    monkeypatch.setattr(oracle, "chains_through", lambda a: [bad])
+    rep = oracle.check_chains(2, 3)
+    saturation = _check(rep, "chain_saturation")
+    assert saturation.failures == sum(1 for c in signature_classes(2, 3).values() if c)
+    for ce in saturation.counterexamples:
+        assert ce["chain"] == bad.to_dict()
+        assert "color 2 not applicable to (3, 0, 0)" in ce["error"]
+    assert "chain_saturation" in rep.failed_names()
+
+
+def test_check_chains_walks_each_initial_chain_twice(monkeypatch):
+    # once for the closed-form, duality and flip checks, and once inside
+    # flip_chain, the library call under test
+    from unimodal_chains.transversal import Chain
+
+    n, m = 6, 6
+    distinct = {
+        (ch.top, ch.colors)
+        for a in oracle.enumerate_compositions(n, m)
+        for ch in oracle.chains_through(a)
+    }
+    initial = sum(1 for a in oracle.enumerate_compositions(n, m)
+                  if oracle.is_initial(a))
+    real = Chain.elements
+    calls = []
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Chain, "elements", spy)
+    rep = oracle.check_chains(n, m)
+    assert rep.failed_names() == []
+    assert len(calls) == len(distinct) + 2 * initial
+    assert initial > 0

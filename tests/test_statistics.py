@@ -181,3 +181,99 @@ def test_empty_vector_conventions():
     assert signature(()) == ()
     assert degree(()) == 0
     assert remove_maximal_pairs(()) == ()
+
+
+def _from_definition(comp, memo):
+    """Spread, maximal runs, degree, removal image and signature of comp,
+    computed straight from the definitions with no library code.
+
+    The removal takes maximal pairs greedily from the left; inside a run
+    every second entry repeats, so the survivor of an odd block equals
+    the block's left value.
+    """
+    got = memo.get(comp)
+    if got is not None:
+        return got
+    n = len(comp) - 1
+    if n < 1:
+        s = comp[0] if comp else 0
+        got = (s, [], 0, comp, (sum(comp),) if comp else ())
+        memo[comp] = got
+        return got
+    sums = [comp[i] + comp[i + 1] for i in range(n)]
+    s = max(sums)
+    runs = []
+    for i in range(n):
+        if sums[i] != s:
+            continue
+        if runs and runs[-1][1] == i - 1:
+            runs[-1] = (runs[-1][0], i)
+        else:
+            runs.append((i, i))
+    out = []
+    r = 0
+    i = 0
+    while i <= n:
+        if i < n and sums[i] == s:
+            r += 1
+            i += 2
+        else:
+            out.append(comp[i])
+            i += 1
+    image = tuple(out)
+    if n == 1:
+        d = (s,)
+    else:
+        image_spread, _, _, _, image_sig = _from_definition(image, memo)
+        d = (0,) * (r - 1) + (s - image_spread,) + image_sig
+    got = (s, runs, r, image, d)
+    memo[comp] = got
+    return got
+
+
+def test_fast_statistics_match_definition_over_the_sweep():
+    from unimodal_chains import oracle
+
+    comps = [(), (0,), (4,), (0, 0), (3, 1), (0, 5)]
+    for n, m in oracle.sweep_pairs(1000, 12):
+        comps.extend(enumerate_compositions(n, m))
+    memo: dict = {}
+    for comp in comps:
+        s, runs, r, image, d = _from_definition(comp, memo)
+        assert statistics._components(comp) == (s, runs), comp
+        assert spread(comp) == s, comp
+        assert degree(comp) == r, comp
+        assert remove_maximal_pairs(comp) == image, comp
+        assert signature(comp) == d, comp
+
+
+def test_signature_scans_each_step_once(monkeypatch):
+    from collections import Counter
+
+    from unimodal_chains.structure import clear_caches
+
+    n, m = 6, 6
+    reached = set()  # every composition the signature recursion visits
+    todo = list(enumerate_compositions(n, m))
+    while todo:
+        comp = todo.pop()
+        if comp not in reached:
+            reached.add(comp)
+            if len(comp) >= 3:
+                todo.append(remove_maximal_pairs(comp))
+    steps = [comp for comp in reached if len(comp) >= 3]
+
+    real = statistics._components
+    calls = []
+
+    def spy(comp):
+        calls.append(comp)
+        return real(comp)
+
+    clear_caches()
+    monkeypatch.setattr(statistics, "_components", spy)
+    for comp in enumerate_compositions(n, m):
+        signature(comp)
+    assert signature.cache_info().misses == len(reached)
+    assert Counter(calls) == Counter(steps)
+    assert len(calls) > posets.count_compositions(n, m)
