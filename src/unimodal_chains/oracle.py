@@ -6,7 +6,11 @@ exhaustive removal orders for the removal map, set algebra for class
 partitions, one re-walk of each distinct chain per class with every
 element checked for membership in its chains, and numpy order matrices
 for the split extensions that structure builds (numpy is used nowhere
-else).  Failures are recorded with reproducible inputs, never raised.
+else).  The split-extension checks locate chain steps and stripped
+initial elements with the library's own raising and lowering walks
+(transversal._raise_path and _lower_path); check_chains verifies the
+chains those walks build.  Failures are recorded with reproducible
+inputs, never raised.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .posets import (
     CheckResult,
     Composition,
     InconsistencyError,
+    apply_color_down,
     count_compositions,
     enumerate_compositions,
     flip,
@@ -49,7 +54,6 @@ from .statistics import (
 )
 from .structure import (
     _fiber_by_coordinates,
-    _raise_to_initial,
     clear_caches,
     decompose_all,
     fiber_coordinates,
@@ -58,6 +62,8 @@ from .structure import (
     unimodality_certificate,
 )
 from .transversal import (
+    _lower_path,
+    _raise_path,
     chains_through,
     closed_form_colors,
     closed_form_terminal,
@@ -568,7 +574,7 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
         def strip(x):
             got = stripped.get(x)
             if got is None:
-                got = stripped[x] = _raise_to_initial(x)[1][2:]
+                got = stripped[x] = _raise_path(x, _components(x)[1][0][0])[0][2:]
             return got
 
         for a in cls:
@@ -595,20 +601,14 @@ def _chain_successors(a: Composition) -> set[Composition]:
 
     A cover a -> up is a step of some transversal chain of a exactly
     when up is in this set; each chain continues below a along the
-    lowering path of its component.  Only the first move of each path is
-    taken: from the pair with right index start + 1, drift right while
-    a[j-1] <= a[j+1], then move a unit from entry j-1 to entry j, unless
-    the drift reached j = n with a[n-1] = 0 (a terminal element).
+    lowering walk of its component, so its first color (none at a
+    terminal element) gives the successor.
     """
-    n = len(a) - 1
-    _, runs = _components(a)
     out = set()
-    for start, _ in runs:
-        j = start + 1
-        while j < n and a[j - 1] <= a[j + 1]:
-            j += 1
-        if a[j - 1] > 0:
-            out.add(a[: j - 1] + (a[j - 1] - 1, a[j] + 1) + a[j + 1 :])
+    for start, _ in _components(a)[1]:
+        colors = _lower_path(a, start)
+        if colors:
+            out.add(apply_color_down(a, colors[0]))
     return out
 
 

@@ -143,13 +143,28 @@ def enumerate_signatures(n: int, m: int) -> list[Signature]:
 
 
 def _sigs(k, m):
-    if k == 0:
-        return [(m,)]
-    out = []
-    for dk in range(m // (k + 1) + 1):
-        for prefix in _sigs(k - 1, m - (k + 1) * dk):
-            out.append(prefix + (dk,))
-    return out
+    """Signatures (d_0, ..., d_k) of mass m, ordered by (d_k, ..., d_0).
+
+    Built bottom-up, one level per entry, so the depth does not grow
+    with k: level j extends each mass's list of (d_0, ..., d_{j-1}) by
+    d_j.  Only the masses a higher level asks for are built.
+    """
+    needed = [{m}]  # masses level k, k-1, ..., 1 ask of the level below
+    for j in range(k, 0, -1):
+        needed.append(
+            {mu - (j + 1) * dj for mu in needed[-1] for dj in range(mu // (j + 1) + 1)}
+        )
+    by_mass = {mu: [(mu,)] for mu in needed.pop()}
+    for j in range(1, k + 1):
+        by_mass = {
+            mu: [
+                prefix + (dj,)
+                for dj in range(mu // (j + 1) + 1)
+                for prefix in by_mass[mu - (j + 1) * dj]
+            ]
+            for mu in needed.pop()
+        }
+    return by_mass[m]
 
 
 @lru_cache(maxsize=None)

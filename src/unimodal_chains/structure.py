@@ -3,9 +3,10 @@
 Each signature class projects onto a smaller class by maximal-pair
 removal; prepending spread-sized blocks is a section of the projection,
 and every fiber is order-isomorphic to a small Young's lattice whose
-coordinates count raising steps.  Iterating this picture decomposes the
-whole composition poset into saturated chains whose per-length tops are
-centered and unimodal, which is exactly the unimodality certificate.
+coordinates count the covers of transversal's raising walk.  Iterating
+this picture decomposes the whole composition poset into saturated
+chains whose per-length tops are centered and unimodal, which is
+exactly the unimodality certificate.
 This module only constructs; oracle.verify_split_extension checks it.
 """
 
@@ -35,7 +36,7 @@ from .statistics import (
     signature_classes,
     spread,
 )
-from .transversal import Chain, flip_chain, transversal_chain
+from .transversal import Chain, _raise_path, flip_chain, transversal_chain
 
 
 def section(b: Composition, r: int, s: int) -> Composition:
@@ -54,29 +55,6 @@ def section(b: Composition, r: int, s: int) -> Composition:
     return (s, 0) * r + b
 
 
-def _raise_to_initial(a: Composition) -> tuple[int, Composition]:
-    """Bulk-run the raising algorithm from the leftmost maximal pair.
-
-    Returns the number of unit moves and the initial element reached.
-    Identical trajectory to raise_run, with each pair's moves applied in
-    one arithmetic step.
-    """
-    s, runs = _components(a)
-    i = runs[0][0] if runs else 0
-    v = list(a)
-    steps = 0
-    while i >= 1:
-        t = v[i + 1] - v[i - 1]
-        steps += t
-        v[i] += t
-        v[i + 1] -= t
-        i -= 1
-    steps += v[1]
-    v[0] += v[1]
-    v[1] = 0
-    return steps, tuple(v)
-
-
 def first_coordinate_closed_form(a: Composition) -> int:
     """Raising-step count to reach an initial element, in closed form.
 
@@ -93,10 +71,11 @@ def first_coordinate_closed_form(a: Composition) -> int:
 def fiber_coordinates(a: Composition, b: Composition) -> tuple[int, ...]:
     """Coordinates of a within the fiber over b: one raising count per level.
 
-    Each level counts the moves needed to reach an initial element,
-    strips its leading block, and recurses; after degree(a) levels the
-    residue must be b.  The counts are weakly increasing and bounded by
-    the class's transversal length; violations are hard failures.
+    Each level raises from the leftmost maximal pair to an initial
+    element, counts the covers taken (the walk's colors), strips the
+    leading block, and recurses; after degree(a) levels the residue
+    must be b.  The counts are weakly increasing and bounded by the
+    class's transversal length; violations are hard failures.
     """
     if remove_maximal_pairs(a) != b:
         raise ValueError(f"{b} is not the projection of {a}")
@@ -105,8 +84,8 @@ def fiber_coordinates(a: Composition, b: Composition) -> tuple[int, ...]:
     cur = a
     out = []
     for _ in range(r):
-        steps, init = _raise_to_initial(cur)
-        out.append(steps)
+        init, colors = _raise_path(cur, _components(cur)[1][0][0])
+        out.append(len(colors))
         cur = init[2:]
     if cur != b:
         raise InconsistencyError(f"stripping {a} left {cur}, expected {b}")

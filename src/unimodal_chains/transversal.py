@@ -1,9 +1,18 @@
 """Raising and lowering along maximal pairs, and the transversal chains.
 
-Both algorithms walk the Hasse diagram one cover at a time while the
-spread, degree, and signature stay fixed, so each run stays inside one
-signature class.  A chain is stored as its highest-weight element plus
-the color sequence read downward; the element list is rebuilt on demand.
+Raising from the maximal pair at left index i works one cover at a
+time: while i >= 1, a unit moves from entry i+1 to entry i (color i+1)
+as long as a_{i+1} exceeds a_{i-1}, and on equality the pair drifts one
+step left; at the leading pair a_1 drains into a_0 (color 1) until
+a_1 = 0, an initial element.  Lowering is the mirror: from the pair
+with right index j = i+1, a unit moves from entry j-1 to entry j
+(color j) while a_{j-1} exceeds a_{j+1}, the pair drifts right on
+equality, and at j = n the walk drains a_{n-1} into a_n, ending at a
+terminal element.  Every step keeps the spread, degree and signature,
+so each walk stays inside one signature class.  The walks below apply
+each pair's whole run of unit moves at once.  A chain is stored as its
+highest-weight element plus the color sequence read downward; the
+element list is rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -34,73 +43,64 @@ def _check_pair(comp, i):
 
 
 def _raise_path(comp, i):
-    """Weight-increasing trajectory from comp plus traversed edge colors.
+    """The raising walk from the pair at left index i.
 
-    At a pair (a_i, a_{i+1}) with i >= 1 a unit moves from entry i+1 to
-    entry i while a_{i+1} exceeds a_{i-1}; on equality the pair drifts
-    one step left.  At the leading pair, a_1 drains into a_0, and the
-    run ends when a_1 = 0 (an initial element).
+    Returns the initial element reached and the colors of the walk's
+    covers read downward from it, as a Chain stores them.  Each pair
+    (a_i, a_{i+1}) takes all of its a_{i+1} - a_{i-1} moves at once.
     """
     a = list(comp)
-    elems = [comp]
     colors = []
-    while True:
-        if i >= 1:
-            if a[i + 1] > a[i - 1]:
-                a[i + 1] -= 1
-                a[i] += 1
-                elems.append(tuple(a))
-                colors.append(i + 1)
-            else:
-                i -= 1
-        else:
-            if a[1] == 0:
-                return elems, colors
-            a[1] -= 1
-            a[0] += 1
-            elems.append(tuple(a))
-            colors.append(1)
+    for i in range(i, 0, -1):
+        t = a[i + 1] - a[i - 1]
+        if t > 0:
+            a[i] += t
+            a[i + 1] -= t
+            colors += [i + 1] * t
+    colors += [1] * a[1]
+    a[0] += a[1]
+    a[1] = 0
+    return tuple(a), colors[::-1]
 
 
 def _lower_path(comp, i):
-    """Weight-decreasing trajectory from comp plus traversed edge colors.
+    """Colors of the lowering walk from the pair at left index i.
 
-    Works on the pair with right index j, starting at j = i + 1; drifts
-    right on equality and ends at a terminal element (a_{n-1} = 0).
+    In the order the walk takes them (weight decreasing); each pair
+    with right index j takes all of its a_{j-1} - a_{j+1} moves at once.
     """
     n = len(comp) - 1
     a = list(comp)
-    elems = [comp]
     colors = []
-    j = i + 1
-    while True:
-        if j <= n - 1:
-            if a[j - 1] > a[j + 1]:
-                a[j - 1] -= 1
-                a[j] += 1
-                elems.append(tuple(a))
-                colors.append(j)
-            else:
-                j += 1
-        else:
-            if a[n - 1] == 0:
-                return elems, colors
-            a[n - 1] -= 1
-            a[n] += 1
-            elems.append(tuple(a))
-            colors.append(n)
+    for j in range(i + 1, n):
+        t = a[j - 1] - a[j + 1]
+        if t > 0:
+            a[j - 1] -= t
+            a[j] += t
+            colors += [j] * t
+    colors += [n] * a[n - 1]
+    return colors
+
+
+def _walk_down(comp, colors):
+    """comp followed by the element after each color step down."""
+    out = [comp]
+    for c in colors:
+        comp = apply_color_down(comp, c)
+        out.append(comp)
+    return out
 
 
 def raise_run(comp: Composition, i: int) -> list[Composition]:
     """Run the raising algorithm from the maximal pair at left index i."""
     _check_pair(comp, i)
-    return _raise_path(comp, i)[0]
+    return _walk_down(*_raise_path(comp, i))[::-1]
 
 
 def lower_run(comp: Composition, i: int) -> list[Composition]:
     """Run the lowering algorithm from the maximal pair at left index i."""
     _check_pair(comp, i)
-    return _lower_path(comp, i)[0]
+    return _walk_down(comp, _lower_path(comp, i))
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,7 @@ class Chain:
         return len(self.colors)
 
     def elements(self) -> list[Composition]:
-        out = [self.top]
-        cur = self.top
-        for c in self.colors:
-            cur = apply_color_down(cur, c)
-            out.append(cur)
-        return out
+        return _walk_down(self.top, self.colors)
 
     def bottom(self) -> Composition:
         return self.elements()[-1]
@@ -140,9 +135,8 @@ def transversal_chain(comp: Composition, i: int) -> Chain:
     terminal one; comp sits where the two runs are glued.
     """
     _check_pair(comp, i)
-    up_elems, up_colors = _raise_path(comp, i)
-    _, down_colors = _lower_path(comp, i)
-    return Chain(up_elems[-1], tuple(reversed(up_colors)) + tuple(down_colors))
+    top, up_colors = _raise_path(comp, i)
+    return Chain(top, tuple(up_colors + _lower_path(comp, i)))
 
 
 def chains_through(comp: Composition) -> list[Chain]:

@@ -231,6 +231,20 @@ def test_poset_size_guard(capsys, command):
     assert "MAX_POSET_SIZE" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["classes", "decompose"])
+def test_long_thin_poset(command):
+    # 2,001 elements with 1,001-entry signatures: the signature list must
+    # not be built by a recursion one level deep per entry
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "unimodal_chains.cli", command, "--n", "2000", "--m", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout.strip()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["classes", "--n", "5", "--m", "5"], ["gaussian", "--m", "2", "--n", "2"]],

@@ -4,8 +4,9 @@ The files under tests/data/verify_*.{json,txt} are the stdout of
 ``unimodal-chains verify --n N --m M --format json|text``.  The larger
 outputs of the commands in DIGESTED are pinned by the sha256 of their
 stdout, in tests/data/cli_stdout_sha256.json.  After a deliberate
-change to an output, regenerate them with
-``PYTHONPATH=src python tests/test_golden.py`` and review their diff.
+change to an output, regenerate them, and the demo digests that
+test_demos.py checks, with ``PYTHONPATH=src python tests/test_golden.py``
+and review their diff.
 """
 
 import contextlib
@@ -72,3 +73,8 @@ if __name__ == "__main__":
             _golden_path(n, m, fmt).write_text(out.getvalue())
     digests = {command: _stdout_digest(command) for command in DIGESTED}
     DIGEST_PATH.write_text(json.dumps(digests, indent=1) + "\n")
+
+    from test_demos import DEMO_DIGEST_PATH, DEMOS, run_demo, stdout_digest
+
+    demo_digests = {demo.name: stdout_digest(run_demo(demo)) for demo in DEMOS}
+    DEMO_DIGEST_PATH.write_text(json.dumps(demo_digests, indent=1) + "\n")

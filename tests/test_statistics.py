@@ -112,6 +112,21 @@ def test_enumerate_signatures_examples():
     assert enumerate_signatures(-1, 0) == [()]
 
 
+def test_enumerate_signatures_order_from_definition():
+    # every vector of the right length and mass, ordered by its entries
+    # read from the last one; class order and the CLI output rest on it
+    from itertools import product
+
+    for n in range(-1, 15):
+        for m in range(11):
+            k = n // 2
+            vectors = product(*(range(m // (j + 1) + 1) for j in range(k + 1)))
+            expected = sorted(
+                (d for d in vectors if signature_mass(d) == m), key=lambda d: d[::-1]
+            )
+            assert enumerate_signatures(n, m) == expected, (n, m)
+
+
 def test_class_examples():
     assert set(signature_class(2, (2, 0))) == {
         (2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2)

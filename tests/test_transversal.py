@@ -155,3 +155,62 @@ def test_endpoint_duality():
             bottom = ch.bottom()
             rightmost = max(maximal_structure(bottom).mset)
             assert raise_run(bottom, rightmost)[::-1] == ch.elements()
+
+
+def _unit_raise(comp, i):
+    """Raising one cover at a time, by the rule in the module docstring."""
+    a, elems, colors = list(comp), [comp], []
+    while i >= 1 or a[1] > 0:
+        if i >= 1 and a[i + 1] <= a[i - 1]:
+            i -= 1  # drift left
+            continue
+        a[i] += 1
+        a[i + 1] -= 1
+        elems.append(tuple(a))
+        colors.append(i + 1)
+    return elems, colors
+
+
+def _unit_lower(comp, i):
+    """Lowering one cover at a time, the mirror of _unit_raise."""
+    n = len(comp) - 1
+    a, elems, colors = list(comp), [comp], []
+    j = i + 1
+    while j < n or a[n - 1] > 0:
+        if j < n and a[j - 1] <= a[j + 1]:
+            j += 1  # drift right
+            continue
+        a[j - 1] -= 1
+        a[j] += 1
+        elems.append(tuple(a))
+        colors.append(j)
+    return elems, colors
+
+
+def test_bulk_walks_match_unit_steps_over_the_sweep():
+    from unimodal_chains.oracle import sweep_pairs
+    from unimodal_chains.statistics import degree, remove_maximal_pairs
+    from unimodal_chains.structure import fiber_coordinates
+
+    walks = 0
+    for n, m in sweep_pairs(1000, 12):
+        if n < 1:
+            continue
+        for a in enumerate_compositions(n, m):
+            for i in maximal_structure(a).mset:
+                up, up_colors = _unit_raise(a, i)
+                down, down_colors = _unit_lower(a, i)
+                assert raise_run(a, i) == up, (a, i)
+                assert lower_run(a, i) == down, (a, i)
+                ch = transversal_chain(a, i)
+                assert ch.top == up[-1], (a, i)
+                assert ch.colors == tuple(up_colors[::-1] + down_colors), (a, i)
+                walks += 1
+            steps = []
+            cur = a
+            for _ in range(degree(a)):
+                up, up_colors = _unit_raise(cur, maximal_structure(cur).mset[0])
+                steps.append(len(up_colors))
+                cur = up[-1][2:]
+            assert fiber_coordinates(a, remove_maximal_pairs(a)) == tuple(steps), a
+    assert walks > 20_000
