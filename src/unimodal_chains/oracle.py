@@ -9,8 +9,12 @@ for the split extensions that structure builds (numpy is used nowhere
 else).  The split-extension checks locate chain steps and stripped
 initial elements with the library's own raising and lowering walks
 (transversal._raise_path and _lower_path); check_chains verifies the
-chains those walks build.  Failures are recorded with reproducible
-inputs, never raised.
+chains those walks build.  Within a scope the library is asked for each
+element's value once, and every check of that element reads the answer:
+check_statistics records each element's spread, degree and removal
+image, and compares the flip's recorded image with the flipped one;
+verify_split_extension lists each class element's in-class upper covers
+once.  Failures are recorded with reproducible inputs, never raised.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .statistics import (
     chain_length,
     degree,
     highest_weight,
-    maximal_structure,
     remove_maximal_pairs,
     signature,
     signature_class,
@@ -225,6 +228,8 @@ def check_statistics(n: int, m: int) -> VerificationReport:
     order_ind = CheckResult("removal_order_independence")
 
     classes = signature_classes(n, m)
+    # (spread, degree, removal image) of each element, in enumeration order
+    stats: dict = {}
     total = 0
     census = []
     spread_boundary = []
@@ -235,6 +240,7 @@ def check_statistics(n: int, m: int) -> VerificationReport:
         s = spread(comp)
         r = degree(comp)
         image = remove_maximal_pairs(comp)
+        stats[comp] = (s, r, image)
         if n >= 1:
             ps, pd = spread_degree_via_partition(comp)
             if (ps, pd) != (s, r):
@@ -242,10 +248,7 @@ def check_statistics(n: int, m: int) -> VerificationReport:
                     {"element": comp, "a_side": (s, r), "partition_side": (ps, pd),
                      "repro": _repro(comp)}
                 )
-        fl = flip(comp)
-        if remove_maximal_pairs(fl) != flip(image):
-            flip_removal.add({"element": comp, "repro": _repro(comp)})
-        if signature(fl) != d:
+        if signature(flip(comp)) != d:
             flip_sig.add({"element": comp, "repro": _repro(comp)})
         if (
             len(d) != k + 1
@@ -263,6 +266,11 @@ def check_statistics(n: int, m: int) -> VerificationReport:
             formula_r = 1 + min(j for j, dj in enumerate(d) if dj > 0)
             if formula_r != r:
                 census.append(comp)
+    for comp, (_, _, image) in stats.items():
+        # the flip's record holds remove_maximal_pairs(flip(comp))
+        flipped = stats.get(flip(comp))
+        if flipped is None or flipped[2] != flip(image):
+            flip_removal.add({"element": comp, "repro": _repro(comp)})
 
     if total != count_compositions(n, m):
         counting.add({"expected": count_compositions(n, m)})
@@ -288,11 +296,16 @@ def check_statistics(n: int, m: int) -> VerificationReport:
         cset = set(cls)
         if any(flip(a) not in cset for a in cls):
             class_flip.add({"signature": d})
-        degs = {degree(a) for a in cls}
+        if not cset <= stats.keys():
+            partition_prop.add(
+                {"signature": d, "detail": "class element outside the poset"}
+            )
+        degs = {stats[a][1] for a in cls if a in stats}
         if len(degs) != 1:
             class_deg.add({"signature": d, "degrees": sorted(degs)})
-        best_w = max(weight(a) for a in cls)
-        tops = [a for a in cls if weight(a) == best_w]
+        weights = [weight(a) for a in cls]
+        best_w = max(weights)
+        tops = [a for a, w in zip(cls, weights) if w == best_w]
         try:
             h = highest_weight(n, d)
             formula_ok = True
@@ -309,12 +322,11 @@ def check_statistics(n: int, m: int) -> VerificationReport:
 
     if count_compositions(n, m) <= ORDER_INDEPENDENCE_CAP:
         memos: dict = {}
-        for comp in enumerate_compositions(n, m):
+        for comp, (s, r, image) in stats.items():
             if n < 1 or m == 0:
                 continue
-            s = spread(comp)
             best, outs = _max_removals(comp, s, memos.setdefault(s, {}))
-            if best != degree(comp) or set(outs) != {remove_maximal_pairs(comp)}:
+            if best != r or set(outs) != {image}:
                 order_ind.add(
                     {"element": comp, "outcomes": sorted(outs), "repro": _repro(comp)}
                 )
@@ -364,9 +376,8 @@ def check_chains(n: int, m: int) -> VerificationReport:
         for a in cls:
             if n < 1:
                 continue
-            ms = maximal_structure(a)
             chains = chains_through(a)
-            if len(chains) != len(ms.components) or len(
+            if len(chains) != len(_components(a)[1]) or len(
                 {(c.top, c.colors) for c in chains}
             ) != len(chains):
                 bijection.add({"element": a, "repro": _repro(a)})
@@ -406,7 +417,7 @@ def check_chains(n: int, m: int) -> VerificationReport:
                 if (ch0.colors != closed_form_colors(a)
                         or bottom != closed_form_terminal(a)):
                     closed.add({"element": a, "repro": _repro(a)})
-                rightmost = max(maximal_structure(bottom).mset)
+                rightmost = _components(bottom)[1][-1][1]
                 up = raise_run(bottom, rightmost)
                 if up[::-1] != elems0:
                     duality.add({"element": a, "repro": _repro(a)})
@@ -487,6 +498,9 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
     base = signature_class(n - 2 * r, base_d)
     base_set = set(base)
     cls_set = set(cls)
+    # each element's upper covers inside the class, for the fiber and
+    # projection-order checks
+    ups = {a: [up for _, up in upper_covers(a) if up in cls_set] for a in cls}
     report.fiber_count = len(base)
     report.degenerate = any(s <= spread(b) for b in base)
 
@@ -539,7 +553,7 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
                 checks["first_coordinate_closed_form"].add({"element": a, "lam": lam})
         # covers inside the fiber must match covers of coordinate vectors
         for a, lam in coords.items():
-            for _, up in upper_covers(a):
+            for up in ups[a]:
                 if up not in fiber_set:
                     continue
                 lam_up = coords[up]
@@ -580,9 +594,7 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
         for a in cls:
             pa = proj[a]
             successors = _chain_successors(a)
-            for _, up in upper_covers(a):
-                if up not in cls_set:
-                    continue
+            for up in ups[a]:
                 pu = proj[up]
                 if pa != pu and not leq(pa, pu):
                     checks["projection_order_preserving"].add({"lower": a, "upper": up})

@@ -18,7 +18,10 @@ Composition = tuple  # (a_0, ..., a_n), entries >= 0
 PartitionParts = tuple  # weakly increasing parts, zeros kept
 
 MAX_CELLS = 2**31  # supported box size m*n; ranks/weights stay in int64
-MAX_POSET_SIZE = 1_000_000  # elements C(m+n, n) a poset may enumerate
+# elements C(m+n, n) a poset may enumerate; its entries C(m+n, n)*(n+1)
+# are bounded by 16 * MAX_POSET_SIZE, so long elements cannot take a
+# near-limit element count past the memory it needs
+MAX_POSET_SIZE = 1_000_000
 
 
 class InconsistencyError(RuntimeError):
@@ -249,10 +252,17 @@ def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
         raise ValueError("n must be >= -1")
     if m * n > MAX_CELLS:
         raise ResourceGuardError(f"box {m}x{n} exceeds supported size")
-    if count_compositions(n, m) > MAX_POSET_SIZE:
+    count = count_compositions(n, m)
+    if count > MAX_POSET_SIZE:
         raise ResourceGuardError(
-            f"poset n={n} m={m} has {count_compositions(n, m)} elements, "
+            f"poset n={n} m={m} has {count} elements, "
             f"more than MAX_POSET_SIZE={MAX_POSET_SIZE}"
+        )
+    entries = count * (n + 1)
+    if entries > 16 * MAX_POSET_SIZE:
+        raise ResourceGuardError(
+            f"poset n={n} m={m} has {count} elements of {n + 1} entries, "
+            f"{entries} in all, more than 16 * MAX_POSET_SIZE={16 * MAX_POSET_SIZE}"
         )
     if n == 0:
         yield (m,)

@@ -64,7 +64,12 @@ def maximal_structure(comp: Composition) -> MaximalStructure:
 
 def degree(comp: Composition) -> int:
     """Edge-cover number of the maximal index set; 0 when n <= 0."""
-    _, runs = _components(comp)
+    return _runs_degree(_components(comp)[1])
+
+
+def _runs_degree(runs):
+    """degree() given the runs _components() found: each run of k
+    maximal indices needs ceil(k/2) pairs to cover it."""
     return sum((end - start) // 2 + 1 for start, end in runs)
 
 
@@ -111,7 +116,7 @@ def signature(comp: Composition) -> Signature:
     if n <= 1:
         return (m,)
     s, runs = _components(comp)
-    r = sum((end - start) // 2 + 1 for start, end in runs)
+    r = _runs_degree(runs)
     image = _remove_runs(comp, runs)
     d = (0,) * (r - 1) + (s - spread(image),) + signature(image)
     if len(d) != n // 2 + 1:

@@ -28,6 +28,8 @@ from .qpoly import gaussian, is_unimodal
 from .statistics import (
     Signature,
     _components,
+    _remove_runs,
+    _runs_degree,
     chain_length,
     degree,
     remove_maximal_pairs,
@@ -75,16 +77,20 @@ def fiber_coordinates(a: Composition, b: Composition) -> tuple[int, ...]:
     element, counts the covers taken (the walk's colors), strips the
     leading block, and recurses; after degree(a) levels the residue
     must be b.  The counts are weakly increasing and bounded by the
-    class's transversal length; violations are hard failures.
+    class's transversal length; violations are hard failures.  One scan
+    of a gives its projection, its degree and the first level's start.
     """
-    if remove_maximal_pairs(a) != b:
+    runs = _components(a)[1]
+    if _remove_runs(a, runs) != b:
         raise ValueError(f"{b} is not the projection of {a}")
-    r = degree(a)
+    r = _runs_degree(runs)
     ell = chain_length(len(a) - 1, signature(a))
     cur = a
     out = []
-    for _ in range(r):
-        init, colors = _raise_path(cur, _components(cur)[1][0][0])
+    for level in range(r):
+        if level:
+            runs = _components(cur)[1]
+        init, colors = _raise_path(cur, runs[0][0])
         out.append(len(colors))
         cur = init[2:]
     if cur != b:
@@ -175,8 +181,12 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
 
 
 def _class_decomposition(n: int, d: Signature, cls) -> ClassDecomposition:
-    """decompose_class of the nonempty class cls, its top found once."""
-    r = degree(min(cls, key=rank))
+    """decompose_class of the nonempty class cls.
+
+    Degree is constant on a signature class, so any element gives r;
+    _indexed rejects the decomposition if the classes were wrong.
+    """
+    r = degree(cls[0])
     s = sum(d)
     ell = chain_length(n, d)
     if ell == 0 or r == 0:

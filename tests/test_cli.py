@@ -231,6 +231,31 @@ def test_poset_size_guard(capsys, command):
     assert "MAX_POSET_SIZE" in err and "Traceback" not in err
 
 
+def _cap_address_space():
+    import resource
+
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_poset_entries_guard():
+    # 998,991 elements pass MAX_POSET_SIZE, but of 1,413 entries each;
+    # under a 1 GiB address-space cap a broken guard ends in a MemoryError
+    # instead of taking the memory of the whole machine
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "unimodal_chains.cli", "classes", "--n", "1412", "--m", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert "MAX_POSET_SIZE" in proc.stderr and "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("command", ["classes", "decompose"])
 def test_long_thin_poset(command):
     # 2,001 elements with 1,001-entry signatures: the signature list must

@@ -3,7 +3,9 @@
 The files under tests/data/verify_*.{json,txt} are the stdout of
 ``unimodal-chains verify --n N --m M --format json|text``.  The larger
 outputs of the commands in DIGESTED are pinned by the sha256 of their
-stdout, in tests/data/cli_stdout_sha256.json.  After a deliberate
+stdout, in tests/data/cli_stdout_sha256.json.  The oracle's reports
+over sweep_pairs(1000, 12) are pinned by the sha256 of their sorted-key
+JSON, in tests/data/sweep_reports_sha256.json.  After a deliberate
 change to an output, regenerate them, and the demo digests that
 test_demos.py checks, with ``PYTHONPATH=src python tests/test_golden.py``
 and review their diff.
@@ -28,6 +30,8 @@ DIGESTED = [
     "decompose --n 9 --m 9 --format json",
 ]
 DIGEST_PATH = DATA_DIR / "cli_stdout_sha256.json"
+SWEEP_BOUNDS = (1000, 12)  # max_size, max_dim of the pinned sweep
+SWEEP_DIGEST_PATH = DATA_DIR / "sweep_reports_sha256.json"
 
 
 def _golden_path(n, m, fmt):
@@ -57,6 +61,18 @@ def test_large_output_matches_golden_digest(command):
     assert _stdout_digest(command) == json.loads(DIGEST_PATH.read_text())[command]
 
 
+def _sweep_digest():
+    reports = oracle.run_sweep(*SWEEP_BOUNDS)
+    text = json.dumps([r.to_dict() for r in reports], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sweep_reports_match_golden_digest():
+    pinned = json.loads(SWEEP_DIGEST_PATH.read_text())
+    assert pinned["bounds"] == list(SWEEP_BOUNDS)
+    assert _sweep_digest() == pinned["sha256"]
+
+
 def test_sweep_reports_do_not_depend_on_worker_count():
     serial = oracle.run_sweep(max_size=60, max_dim=4, jobs=1)
     pooled = oracle.run_sweep(max_size=60, max_dim=4, jobs=2)
@@ -73,6 +89,8 @@ if __name__ == "__main__":
             _golden_path(n, m, fmt).write_text(out.getvalue())
     digests = {command: _stdout_digest(command) for command in DIGESTED}
     DIGEST_PATH.write_text(json.dumps(digests, indent=1) + "\n")
+    sweep = {"bounds": list(SWEEP_BOUNDS), "sha256": _sweep_digest()}
+    SWEEP_DIGEST_PATH.write_text(json.dumps(sweep, indent=1) + "\n")
 
     from test_demos import DEMO_DIGEST_PATH, DEMOS, run_demo, stdout_digest
 

@@ -263,3 +263,87 @@ def test_check_chains_walks_each_initial_chain_twice(monkeypatch):
     assert rep.failed_names() == []
     assert len(calls) == len(distinct) + 2 * initial
     assert initial > 0
+
+
+def _failures(report):
+    return {c.name: c.failures for c in report.checks if c.failures}
+
+
+def test_wrong_removal_image_is_caught(monkeypatch):
+    # the image of one element of (4,4) is left unremoved; the element
+    # and its flip each see the flip check fail
+    wrong = (1, 2, 0, 1, 0)
+    real = oracle.remove_maximal_pairs
+    monkeypatch.setattr(
+        oracle, "remove_maximal_pairs", lambda c: c if c == wrong else real(c)
+    )
+    assert _failures(oracle.check_statistics(4, 4)) == {
+        "flip_removal_commute": 2,
+        "removal_containment": 1,
+        "spread_strict_decrease": 1,
+        "removal_order_independence": 1,
+    }
+
+
+def test_wrong_degree_is_caught(monkeypatch):
+    wrong = (1, 2, 0, 1, 0)
+    real = oracle.degree
+    monkeypatch.setattr(
+        oracle, "degree", lambda c: real(c) + 1 if c == wrong else real(c)
+    )
+    assert _failures(oracle.check_statistics(4, 4)) == {
+        "partition_side_agreement": 1,
+        "removal_containment": 1,
+        "degree_formula": 1,
+        "class_degree_consistent": 1,
+        "removal_order_independence": 1,
+    }
+
+
+def _spy(monkeypatch, module, name):
+    real = getattr(module, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_check_statistics_asks_for_each_element_once(monkeypatch):
+    from collections import Counter
+
+    elements = Counter(oracle.enumerate_compositions(6, 6))
+    degrees = _spy(monkeypatch, oracle, "degree")
+    images = _spy(monkeypatch, oracle, "remove_maximal_pairs")
+    rep = oracle.check_statistics(6, 6)
+    assert rep.failed_names() == []
+    assert Counter(degrees) == elements
+    assert Counter(images) == elements
+
+
+def test_split_extension_lists_each_elements_covers_once(monkeypatch):
+    from collections import Counter
+
+    from unimodal_chains.statistics import signature_classes
+
+    calls = _spy(monkeypatch, oracle, "upper_covers")
+    for d, cls in signature_classes(6, 6).items():
+        if not cls:
+            continue
+        calls.clear()
+        rep = oracle.verify_split_extension(6, d)
+        assert Counter(calls) == (Counter(cls) if rep.r else Counter())
+
+
+def test_fiber_coordinates_scans_once_per_level(monkeypatch):
+    from unimodal_chains import structure
+
+    calls = _spy(monkeypatch, structure, "_components")
+    for n, m in [(0, 3), (5, 5), (6, 6)]:
+        for a in oracle.enumerate_compositions(n, m):
+            calls.clear()
+            structure.fiber_coordinates(a, oracle.remove_maximal_pairs(a))
+            assert len(calls) == max(1, oracle.degree(a))

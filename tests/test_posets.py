@@ -182,3 +182,13 @@ def test_enumerate_errors():
         list(posets.enumerate_compositions(-2, 0))
     with pytest.raises(posets.ResourceGuardError):
         list(posets.enumerate_compositions(2**20, 2**20))
+
+
+def test_enumerate_bounds_entries_not_only_elements():
+    # 998,991 elements, below MAX_POSET_SIZE, but of 1,413 entries each
+    assert posets.count_compositions(1412, 2) <= posets.MAX_POSET_SIZE
+    with pytest.raises(posets.ResourceGuardError, match="MAX_POSET_SIZE"):
+        next(posets.enumerate_compositions(1412, 2))
+    # the long thin and the largest square posets stay admitted
+    for n, m in [(2000, 1), (11, 11)]:
+        assert len(next(posets.enumerate_compositions(n, m))) == n + 1

@@ -336,3 +336,15 @@ def test_chain_successors_match_chain_walks():
                         covers += 1
                         assert (up in fast) == (up in walked), (a, up)
     assert covers > 10_000
+
+
+def test_degree_is_constant_on_every_class_of_the_sweep():
+    # _class_decomposition takes r from any element of the class; before,
+    # it took the degree of the class's lowest-rank element
+    from unimodal_chains.oracle import sweep_pairs
+
+    for n, m in sweep_pairs(1000, 12):
+        for cls in signature_classes(n, m).values():
+            if cls:
+                top = degree(min(cls, key=rank))
+                assert {degree(a) for a in cls} == {top}, (n, m, cls[0])
