@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 verification failure or stdout closed early (as
 Python itself exits on a broken pipe), 2 usage error, 3 resource guard.
-All output is deterministic for identical invocations.
+All output is deterministic for identical invocations.  ``main`` may be
+called repeatedly in one process: the parser is built on the first call
+and shared, and every call starts from the defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +51,11 @@ def _format_signature(d) -> str:
 
 
 def _parse_signature(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.strip("() ").split(",") if tok.strip())
+    try:
+        return tuple(int(tok) for tok in text.strip("() ").split(",") if tok.strip())
+    except ValueError:
+        raise ValueError(f"--signature takes comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _element_from_args(args) -> tuple[int, ...]:
@@ -87,11 +94,17 @@ def cmd_signature(args) -> int:
 
 def cmd_classes(args) -> int:
     classes = signature_classes(args.n, args.m)
-    wanted = _parse_signature(args.signature) if args.signature else None
+    if args.signature:
+        wanted = _parse_signature(args.signature)
+        if wanted not in classes:  # the keys are every signature of the poset
+            raise ValueError(
+                f"--signature {args.signature!r} matches no class of "
+                f"n={args.n}, m={args.m}: it needs n//2 + 1 = {args.n // 2 + 1} "
+                f"nonnegative entries d_j of mass sum((j+1)*d_j) = {args.m}"
+            )
+        classes = {wanted: classes[wanted]}
     rows = []
     for d, cls in classes.items():
-        if wanted is not None and d != wanted:
-            continue
         r = None
         h = None
         flagged = False
@@ -221,7 +234,11 @@ def cmd_gaussian(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call; callers must not mutate it.  ``parse_args`` fills a fresh
+    namespace on each call, so no flag carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="unimodal-chains",
         description="Signature statistics and chain decompositions of Young's lattice",

@@ -61,7 +61,10 @@ def parse_composition(text: str) -> Composition:
     inner = body[1:-1].strip()
     if not inner:
         return ()
-    entries = tuple(int(tok) for tok in inner.split(","))
+    try:
+        entries = tuple(int(tok) for tok in inner.split(","))
+    except ValueError:
+        raise ValueError(f"non-integer entry in composition {text!r}") from None
     if any(e < 0 for e in entries):
         raise ValueError(f"negative entry in composition {text!r}")
     return entries

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from unimodal_chains.cli import main
+from unimodal_chains.cli import build_parser, main
 from unimodal_chains.qpoly import gaussian
 from unimodal_chains.structure import decomposition_from_dict
 
@@ -51,6 +52,13 @@ def test_signature_usage_error(capsys):
     assert main(["signature", "[0,1,1,3]", "--as-partition"]) == 2
 
 
+def test_signature_non_integer_entry_quotes_the_composition(capsys):
+    assert main(["signature", "[1,x]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: non-integer entry in composition '[1,x]'\n"
+
+
 def test_classes_command(capsys):
     code, out = run(capsys, "classes", "--n", "2", "--m", "2", "--format", "json")
     rows = json.loads(out)
@@ -72,6 +80,35 @@ def test_classes_filter(capsys):
     )
     rows = json.loads(out)
     assert len(rows) == 1 and rows[0]["size"] == 30
+
+
+def test_classes_filter_not_an_integer_names_the_flag(capsys):
+    assert main(["classes", "--n", "4", "--m", "4", "--signature", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: --signature takes comma-separated integers, got 'abc'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--signature", "9,9,9"],
+        ["--signature", "1,2", "--format", "json"],
+        ["--signature", "(0,-1,2)"],
+    ],
+    ids=["wrong-mass", "wrong-length", "negative-entry"],
+)
+def test_classes_filter_that_never_matches_is_refused(capsys, argv):
+    # L(4, 4) has signatures of n//2 + 1 = 3 entries d_j with
+    # sum((j+1)*d_j) = 4; any other filter used to print an empty listing
+    assert main(["classes", "--n", "4", "--m", "4", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: --signature {argv[1]!r} ")
+    assert "n//2 + 1 = 3 nonnegative entries" in captured.err
+    assert "sum((j+1)*d_j) = 4" in captured.err
 
 
 def test_classes_single_class_posets(capsys):
@@ -307,3 +344,44 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    assert main(["gaussian", "--m", "2", "--n", "2"]) == 0
+    first_call = len(built)
+    assert main(["gaussian", "--m", "2", "--n", "2"]) == 0
+    assert main(["signature", "[1,0,1]"]) == 0
+    assert built.count("unimodal-chains") == 1 and len(built) == first_call
+    assert build_parser.cache_info().misses == 1
+
+
+def test_no_flag_carries_over_between_calls(capsys):
+    # the shared parser fills a fresh namespace from the defaults each call
+    assert main(["signature", "[0,1,1,3]", "--as-partition", "--n", "3"]) == 0
+    assert main(["signature", "[0,1,1,3]", "--as-partition"]) == 2
+    assert main(["verify", "--n", "5", "--m", "5", "--no-waive-projection-order"]) == 1
+    assert main(["verify", "--n", "5", "--m", "5"]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "signature", "[1,0,1]", "--format", "json")
+    assert code == 0 and json.loads(out)["signature"] == "(0,1)"
+    code, out = run(capsys, "signature", "[1,0,1]")
+    assert code == 0 and out.splitlines()[0] == "element: [1,0,1]"
+
+
+def test_parse_error_after_the_parser_was_used(capsys):
+    assert main(["gaussian", "--m", "2", "--n", "2"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["gaussian", "--m", "two", "--n", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, "gaussian", "--m", "2", "--n", "2")
+    assert code == 0 and out.strip() == "1,1,2,1,1 symmetric unimodal"
