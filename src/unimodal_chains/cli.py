@@ -36,6 +36,7 @@ from .statistics import (
     remove_maximal_pairs,
     signature,
     signature_classes,
+    signature_mass,
 )
 from .structure import decompose_all, decomposition_to_dict
 from .oracle import DEFAULT_WAIVED, SPLIT_DEFECT_CHECKS, run_pair, run_sweep, sweep_pairs
@@ -93,28 +94,30 @@ def cmd_signature(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    classes = signature_classes(args.n, args.m)
     if args.signature:
+        # checked before classifying: these rules admit exactly the class keys
         wanted = _parse_signature(args.signature)
-        if wanted not in classes:  # the keys are every signature of the poset
+        if (len(wanted) != args.n // 2 + 1 or any(dj < 0 for dj in wanted)
+                or signature_mass(wanted) != args.m):
             raise ValueError(
                 f"--signature {args.signature!r} matches no class of "
                 f"n={args.n}, m={args.m}: it needs n//2 + 1 = {args.n // 2 + 1} "
                 f"nonnegative entries d_j of mass sum((j+1)*d_j) = {args.m}"
             )
-        classes = {wanted: classes[wanted]}
+        classes = {wanted: signature_classes(args.n, args.m)[wanted]}
+    else:
+        classes = signature_classes(args.n, args.m)
     rows = []
     for d, cls in classes.items():
         r = None
         h = None
         flagged = False
         if cls:
-            top = min(cls, key=rank)
-            r = degree(top)
+            r = degree(cls[0])
             try:
                 h = highest_weight(args.n, d)
             except InconsistencyError:
-                h = top
+                h = min(cls, key=rank)
                 flagged = True
         rows.append(
             {

@@ -4,12 +4,13 @@ Each check recomputes its target through a route the optimized code
 never takes: partition-side window maxima for spread and degree,
 exhaustive removal orders for the removal map, set algebra for class
 partitions, one re-walk of each distinct chain per class with every
-element checked for membership in its chains, and numpy order matrices
-for the split extensions that structure builds (numpy is used nowhere
-else).  The split-extension checks locate chain steps and stripped
-initial elements with the library's own raising and lowering walks
-(transversal._raise_path and _lower_path); check_chains verifies the
-chains those walks build.  Within a scope the library is asked for each
+element checked for membership in its chains, and numpy order matrices,
+one column at a time and at most MAX_ORDER_MATRIX_ROWS rows, for the
+split extensions that structure builds (numpy is used nowhere else),
+whose section images each class writes once by its own formula.  The
+split-extension checks locate chain steps and stripped initial elements
+with the library's own raising and lowering walks (transversal._raise_path
+and _lower_path); check_chains verifies the chains those walks build.  Within a scope the library is asked for each
 element's value once, and every check of that element reads the answer:
 check_statistics records each element's spread, degree and removal
 image, and compares the flip's recorded image with the flipped one;
@@ -29,6 +30,7 @@ from .posets import (
     CheckResult,
     Composition,
     InconsistencyError,
+    ResourceGuardError,
     apply_color_down,
     count_compositions,
     enumerate_compositions,
@@ -46,6 +48,7 @@ from .statistics import (
     Signature,
     _components,
     chain_length,
+    clear_caches,
     degree,
     highest_weight,
     remove_maximal_pairs,
@@ -57,7 +60,6 @@ from .statistics import (
 )
 from .structure import (
     _fiber_by_coordinates,
-    clear_caches,
     decompose_all,
     fiber_coordinates,
     first_coordinate_closed_form,
@@ -78,6 +80,7 @@ from .transversal import (
 )
 
 ORDER_INDEPENDENCE_CAP = 3000  # poset size up to which removal orders are explored
+MAX_ORDER_MATRIX_ROWS = 16_384  # a fiber check's four k x k bool matrices: <= 1 GiB
 
 # split-extension checks expected to hold with zero exceptions
 SPLIT_SOUND_CHECKS = (
@@ -439,17 +442,15 @@ def _partition_suffix_matrix(elements):
     return rev[:, 1:]
 
 
-def _leq_matrix(suffixes):
-    """Boolean comparability matrix from suffix-sum rows."""
-    block = 1024  # rows compared at a time, to bound the temporary array
-    count = suffixes.shape[0]
-    out = np.empty((count, count), dtype=bool)
-    if suffixes.shape[1] == 0:
-        out[:] = True
-        return out
-    for lo in range(0, count, block):
-        hi = min(lo + block, count)
-        out[lo:hi] = (suffixes[lo:hi, None, :] <= suffixes[None, :, :]).all(axis=2)
+def _leq_matrix(rows):
+    """Boolean matrix of rows[i] <= rows[j] entrywise, one column at a time."""
+    k = rows.shape[0]
+    if k > MAX_ORDER_MATRIX_ROWS:  # refused before anything is allocated
+        raise ResourceGuardError(f"order matrix of {k} rows exceeds "
+                                 f"MAX_ORDER_MATRIX_ROWS={MAX_ORDER_MATRIX_ROWS}")
+    out = np.ones((k, k), dtype=bool)
+    for col in rows.T:
+        out &= col[:, None] <= col[None, :]
     return out
 
 
@@ -481,8 +482,7 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
     if not cls:
         raise ValueError(f"empty class {d} for n={n}")
     s = sum(d)
-    top = min(cls, key=rank)
-    r = degree(top)
+    r = degree(cls[0])
     ell = chain_length(n, d)
     base_d = d[r:]
     report = SplitExtensionReport(
@@ -513,17 +513,15 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
     for b in sorted(base_set - set(fibers)):
         checks["projection_surjective"].add({"missing": b})
 
-    for b in base:
-        image = (s, 0) * r + b
+    sections = {b: (s, 0) * r + b for b in base}
+    for b, image in sections.items():
         if image not in cls_set or remove_maximal_pairs(image) != b:
             checks["section_property"].add({"base": b, "section": image})
 
     # order-preservation of the section, all comparable base pairs at once
     if len(base) > 1:
         base_leq = _leq_matrix(_partition_suffix_matrix(base))
-        img_leq = _leq_matrix(
-            _partition_suffix_matrix([(s, 0) * r + b for b in base])
-        )
+        img_leq = _leq_matrix(_partition_suffix_matrix(list(sections.values())))
         for i, j in np.argwhere(base_leq & ~img_leq):
             checks["section_order_preserving"].add({"base_pair": (base[i], base[j])})
 
@@ -542,7 +540,7 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
         if sorted(coords.values()) != sorted(rebuilt):
             checks["coordinates_bijective"].add({"base": b})
             continue
-        sec_rank = rank((s, 0) * r + b)
+        sec_rank = rank(sections[b])
         fiber_set = set(fiber)
         for a, lam in coords.items():
             if rebuilt[lam] != a:

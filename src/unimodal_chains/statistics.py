@@ -179,7 +179,7 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
     Classes appear in the enumerate_signatures order; empty classes are
     kept (as empty tuples) so callers can report them.  Elements within
     a class are in lexicographic order.  Memoized at every size, so one
-    poset is classified once until structure.clear_caches().
+    poset is classified once until clear_caches().
     """
     groups: dict = {d: [] for d in enumerate_signatures(n, m)}
     for comp in enumerate_compositions(n, m):
@@ -188,6 +188,13 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
             raise InconsistencyError(f"signature {d} of {comp} not enumerated")
         groups[d].append(comp)
     return {d: tuple(cs) for d, cs in groups.items()}
+
+
+def clear_caches() -> None:
+    """Drop every per-poset memo: signatures and classes.  qpoly.gaussian's
+    stays, as it is keyed by box, shared across posets and read by perfbench."""
+    signature.cache_clear()
+    signature_classes.cache_clear()
 
 
 def signature_class(n: int, d: Signature) -> tuple[Composition, ...]:

@@ -1,19 +1,19 @@
 """Split-extension structure of signature classes and chain decompositions.
 
 Each signature class projects onto a smaller class by maximal-pair
-removal; prepending spread-sized blocks is a section of the projection,
-and every fiber is order-isomorphic to a small Young's lattice whose
-coordinates count the covers of transversal's raising walk.  Iterating
-this picture decomposes the whole composition poset into saturated
-chains whose per-length tops are centered and unimodal, which is
-exactly the unimodality certificate.
+removal; prepending spread-sized blocks is a section of the projection
+(section() writes every image), and every fiber is order-isomorphic to
+a small Young's lattice whose coordinates count the covers of
+transversal's raising walk.  Iterating this picture decomposes the whole
+composition poset into saturated chains whose per-length tops are
+centered and unimodal, which is exactly the unimodality certificate.
+It keeps no memo; the ones it reads live in statistics, beside clear_caches().
 This module only constructs; oracle.verify_split_extension checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .posets import (
     Composition,
@@ -46,13 +46,14 @@ def section(b: Composition, r: int, s: int) -> Composition:
     remove_maximal_pairs().
 
     Requires s > spread(b) so the prepended blocks carry the maximal
-    pairs; r = 0 returns b unchanged.
+    pairs, or s == spread(b) for a b of at most one entry, whose spread
+    is its mass and which the leading run absorbs; r = 0 returns b.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     if r == 0:
         return b
-    if s <= spread(b):
+    if s < spread(b) or (s == spread(b) and len(b) >= 2):
         raise ValueError(f"section needs s > spread({b}) = {spread(b)}")
     return (s, 0) * r + b
 
@@ -110,7 +111,7 @@ def fiber_element(lam: tuple[int, ...], b: Composition, s: int) -> Composition:
     r = len(lam)
     if any(x > y for x, y in zip(lam, lam[1:])) or any(x < 0 for x in lam):
         raise ValueError(f"coordinates {lam} not weakly increasing and nonnegative")
-    x = (s, 0) * r + tuple(b)
+    x = section(tuple(b), r, s)
     for t in reversed(lam):
         ch = transversal_chain(x, 0)
         if t > ch.length:
@@ -143,7 +144,7 @@ def _fiber_by_coordinates(b, r, s, ell):
         for t in range(min(cap, ch.length) + 1):
             walk(elems[t], remaining - 1, t, tail + (t,))
 
-    walk((s, 0) * r + tuple(b), r, ell, ())
+    walk(section(b, r, s), r, ell, ())
     return out
 
 
@@ -193,9 +194,9 @@ def _class_decomposition(n: int, d: Signature, cls) -> ClassDecomposition:
         chains = [Chain(a, ()) for a in cls]
     elif r == 1:
         base = signature_class(n - 2, d[1:])
-        chains = [transversal_chain((s, 0) + b, 0) for b in base]
+        chains = [transversal_chain(section(b, 1, s), 0) for b in base]
     else:
-        sub_chains = _decompose_chains(r, ell)
+        sub_chains = decompose_all(r, ell).chains()
         chains = []
         for b in signature_class(n - 2 * r, d[r:]):
             rebuilt = _fiber_by_coordinates(b, r, s, ell)
@@ -211,11 +212,6 @@ def _class_decomposition(n: int, d: Signature, cls) -> ClassDecomposition:
                     colors.append(c)
                 chains.append(Chain(images[0], tuple(colors)))
     return ClassDecomposition(d, r, ell, tuple(chains))
-
-
-@lru_cache(maxsize=None)
-def _decompose_chains(n: int, m: int) -> tuple[Chain, ...]:
-    return tuple(decompose_all(n, m).chains())
 
 
 def decompose_all(n: int, m: int) -> Decomposition:
@@ -355,10 +351,3 @@ def decomposition_from_dict(data: dict) -> Decomposition:
         for cd in data["classes"]
     )
     return _indexed(data["n"], data["m"], classes)
-
-
-def clear_caches() -> None:
-    """Drop memoized signatures, classes and decompositions."""
-    signature.cache_clear()
-    signature_classes.cache_clear()
-    _decompose_chains.cache_clear()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from unimodal_chains import cli
 from unimodal_chains.cli import build_parser, main
 from unimodal_chains.qpoly import gaussian
 from unimodal_chains.structure import decomposition_from_dict
@@ -109,6 +110,24 @@ def test_classes_filter_that_never_matches_is_refused(capsys, argv):
     assert captured.err.startswith(f"usage error: --signature {argv[1]!r} ")
     assert "n//2 + 1 = 3 nonnegative entries" in captured.err
     assert "sum((j+1)*d_j) = 4" in captured.err
+
+
+@pytest.mark.parametrize("signature", ["abc", "9,9,9"])
+def test_classes_filter_is_checked_before_classifying(capsys, monkeypatch, signature):
+    # L(30, 30) is over MAX_POSET_SIZE, so classifying it would exit 3
+    real = cli.signature_classes
+    calls = []
+
+    def spy(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(cli, "signature_classes", spy)
+    assert main(["classes", "--n", "30", "--m", "30", "--signature", signature]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --signature ")
 
 
 def test_classes_single_class_posets(capsys):
@@ -236,12 +255,23 @@ def test_verify_json_format(capsys):
     assert {r["scope"] for r in reports} == {"statistics", "chains", "structure"}
 
 
-def test_verify_waiver_withdrawal(capsys):
-    # (5,5) carries both documented censuses; withdrawing the projection
-    # waiver must flip the exit code
-    assert main(["verify", "--n", "5", "--m", "5"]) == 0
-    assert (
-        main(["verify", "--n", "5", "--m", "5", "--no-waive-projection-order"]) == 1
+@pytest.mark.parametrize(
+    "n,flag,failing",
+    [
+        ("5", "--no-waive-projection-order",
+         "projection_order_preserving, stripped_cover_preserved"),
+        ("2", "--no-waive-degree-formula", "degree_formula"),
+    ],
+    ids=["projection-order", "degree-formula"],
+)
+def test_verify_waiver_withdrawal(capsys, n, flag, failing):
+    # (5,5) carries both documented censuses and (2,2) the degree-formula
+    # one; withdrawing a waiver must flip the exit code
+    assert main(["verify", "--n", n, "--m", n]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--n", n, "--m", n, flag]) == 1
+    assert capsys.readouterr().err == (
+        f"FAILED checks: {failing}\nunimodal-chains verify --n {n} --m {n} {flag}\n"
     )
 
 

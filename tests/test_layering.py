@@ -28,3 +28,16 @@ def test_structure_does_not_reach_into_the_oracle():
     path = PACKAGE / "structure.py"
     assert ".oracle" not in _imports(path)
     assert "CheckResult" not in path.read_text()
+
+
+def test_structure_holds_no_memo():
+    # the library's per-poset memos live in statistics, beside the
+    # clear_caches() that empties them all
+    path = PACKAGE / "structure.py"
+    names = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not names & {"functools", "lru_cache", "cache"}

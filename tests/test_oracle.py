@@ -77,6 +77,39 @@ def test_failed_section_order_is_recorded(monkeypatch):
     assert rep.failed_names() == ["section_order_preserving"]
 
 
+@pytest.mark.parametrize("n,m", [(5, 5), (0, 3), (1, 4)])
+def test_leq_matrix_is_the_poset_order(n, m):
+    # suffix rows of width n: 5, 0 (no columns, all True) and 1
+    from unimodal_chains.posets import leq
+    from unimodal_chains.statistics import signature_classes
+
+    for cls in signature_classes(n, m).values():
+        got = oracle._leq_matrix(oracle._partition_suffix_matrix(cls))
+        assert got.shape == (len(cls), len(cls))
+        for i, a in enumerate(cls):
+            for j, b in enumerate(cls):
+                assert got[i, j] == leq(a, b), (a, b)
+
+
+def test_order_matrix_over_the_bound_is_refused_before_it_allocates(monkeypatch):
+    import numpy as np
+
+    from unimodal_chains.posets import ResourceGuardError
+
+    class Allocated(Exception):
+        pass
+
+    def ones(*args, **kwargs):
+        raise Allocated
+
+    rows = np.zeros((oracle.MAX_ORDER_MATRIX_ROWS + 1, 1), dtype=np.int64)
+    monkeypatch.setattr(oracle.np, "ones", ones)
+    with pytest.raises(ResourceGuardError, match="MAX_ORDER_MATRIX_ROWS=16384"):
+        oracle._leq_matrix(rows)
+    with pytest.raises(Allocated):  # one row fewer is admitted
+        oracle._leq_matrix(rows[1:])
+
+
 def test_removal_order_independence_explored_on_small():
     rep = oracle.check_statistics(4, 4)
     check = next(c for c in rep.checks if c.name == "removal_order_independence")
@@ -111,7 +144,7 @@ def test_run_pair_report_shapes():
 def test_run_pair_classifies_the_poset_once(monkeypatch):
     from unimodal_chains import statistics, structure
 
-    structure.clear_caches()
+    statistics.clear_caches()
     real = statistics.enumerate_compositions
     calls = []
 
@@ -122,13 +155,16 @@ def test_run_pair_classifies_the_poset_once(monkeypatch):
     monkeypatch.setattr(statistics, "enumerate_compositions", spy)
     oracle.run_pair(7, 7)
     assert calls.count((7, 7)) == 1
-    # run_pair cleared every cache after the poset
-    for cached in (
-        statistics.signature,
-        statistics.signature_classes,
-        structure._decompose_chains,
-    ):
-        assert cached.cache_info().currsize == 0
+    # run_pair emptied every memo that statistics and structure define
+    memos = [
+        fn
+        for module in (statistics, structure)
+        for fn in vars(module).values()
+        if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
+    ]
+    assert {fn.__name__ for fn in memos} >= {"signature", "signature_classes"}
+    for fn in memos:
+        assert fn.cache_info().currsize == 0, fn.__name__
 
 
 def _check(report, name):

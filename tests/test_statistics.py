@@ -265,8 +265,6 @@ def test_fast_statistics_match_definition_over_the_sweep():
 def test_signature_scans_each_step_once(monkeypatch):
     from collections import Counter
 
-    from unimodal_chains.structure import clear_caches
-
     n, m = 6, 6
     reached = set()  # every composition the signature recursion visits
     todo = list(enumerate_compositions(n, m))
@@ -285,7 +283,7 @@ def test_signature_scans_each_step_once(monkeypatch):
         calls.append(comp)
         return real(comp)
 
-    clear_caches()
+    statistics.clear_caches()
     monkeypatch.setattr(statistics, "_components", spy)
     for comp in enumerate_compositions(n, m):
         signature(comp)

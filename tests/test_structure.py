@@ -36,6 +36,10 @@ def test_section_examples():
     assert section((0,), 1, 2) == (2, 0, 0)
     assert section((1, 0), 2, 2) == (2, 0, 2, 0, 1, 0)
     assert section((3, 1), 0, 99) == (3, 1)
+    # a base of at most one entry admits s == spread(b), its mass: the
+    # top of the one chain of class (0,1) of L(2,2) is (1, 0, 1)
+    assert section((1,), 1, 1) == (1, 0, 1)
+    assert section((2,), 2, 2) == (2, 0, 2, 0, 2)
     with pytest.raises(ValueError):
         section((2, 0), 1, 2)  # needs s > spread(b)
 
@@ -44,6 +48,25 @@ def test_project_examples():
     assert remove_maximal_pairs((0, 1, 1)) == (0,)
     assert remove_maximal_pairs((2, 0, 1, 0, 0, 2)) == (1, 0)
     assert remove_maximal_pairs(section((1, 0), 2, 2)) == (1, 0)
+    assert remove_maximal_pairs(section((1,), 1, 1)) == (1,)
+    assert remove_maximal_pairs(section((2,), 2, 2)) == (2,)
+
+
+def test_section_lands_in_every_class_of_the_sweep():
+    # every base element of every class of degree >= 1, degenerate ones
+    # included, has a section image in the class that projects back to it
+    from unimodal_chains.oracle import sweep_pairs
+
+    for n, m in sweep_pairs(1000, 12):
+        for d, cls in signature_classes(n, m).items():
+            r = degree(cls[0]) if cls else 0
+            if r == 0:
+                continue
+            cls_set = set(cls)
+            for b in signature_class(n - 2 * r, d[r:]):
+                image = section(b, r, sum(d))
+                assert image in cls_set, (n, d, b)
+                assert remove_maximal_pairs(image) == b, (n, d, b)
 
 
 def test_fiber_coordinates_examples():
