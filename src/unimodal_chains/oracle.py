@@ -12,8 +12,9 @@ split-extension checks locate chain steps and stripped initial elements
 with the library's own raising and lowering walks (transversal._raise_path
 and _lower_path); check_chains verifies the chains those walks build.  Within a scope the library is asked for each
 element's value once, and every check of that element reads the answer:
-check_statistics records each element's spread, degree and removal
-image, and compares the flip's recorded image with the flipped one;
+check_statistics records each element's spread, degree, removal image
+and signature, checks that signature against the element's class, and
+compares the flip's recorded image with the flipped one;
 verify_split_extension lists each class element's in-class upper covers
 once.  Failures are recorded with reproducible inputs, never raised.
 """
@@ -231,7 +232,7 @@ def check_statistics(n: int, m: int) -> VerificationReport:
     order_ind = CheckResult("removal_order_independence")
 
     classes = signature_classes(n, m)
-    # (spread, degree, removal image) of each element, in enumeration order
+    # (spread, degree, removal image, signature) of each element, in order
     stats: dict = {}
     total = 0
     census = []
@@ -243,7 +244,7 @@ def check_statistics(n: int, m: int) -> VerificationReport:
         s = spread(comp)
         r = degree(comp)
         image = remove_maximal_pairs(comp)
-        stats[comp] = (s, r, image)
+        stats[comp] = (s, r, image, d)
         if n >= 1:
             ps, pd = spread_degree_via_partition(comp)
             if (ps, pd) != (s, r):
@@ -269,7 +270,7 @@ def check_statistics(n: int, m: int) -> VerificationReport:
             formula_r = 1 + min(j for j, dj in enumerate(d) if dj > 0)
             if formula_r != r:
                 census.append(comp)
-    for comp, (_, _, image) in stats.items():
+    for comp, (_, _, image, _) in stats.items():
         # the flip's record holds remove_maximal_pairs(flip(comp))
         flipped = stats.get(flip(comp))
         if flipped is None or flipped[2] != flip(image):
@@ -303,6 +304,10 @@ def check_statistics(n: int, m: int) -> VerificationReport:
             partition_prop.add(
                 {"signature": d, "detail": "class element outside the poset"}
             )
+        for a in cls:
+            if a in stats and stats[a][3] != d:
+                partition_prop.add({"element": a, "signature": stats[a][3],
+                                    "class": d, "repro": _repro(a)})
         degs = {stats[a][1] for a in cls if a in stats}
         if len(degs) != 1:
             class_deg.add({"signature": d, "degrees": sorted(degs)})
@@ -325,7 +330,7 @@ def check_statistics(n: int, m: int) -> VerificationReport:
 
     if count_compositions(n, m) <= ORDER_INDEPENDENCE_CAP:
         memos: dict = {}
-        for comp, (s, r, image) in stats.items():
+        for comp, (s, r, image, _) in stats.items():
             if n < 1 or m == 0:
                 continue
             best, outs = _max_removals(comp, s, memos.setdefault(s, {}))
@@ -442,12 +447,16 @@ def _partition_suffix_matrix(elements):
     return rev[:, 1:]
 
 
+def _refuse_order_matrix(k):
+    if k > MAX_ORDER_MATRIX_ROWS:
+        raise ResourceGuardError(f"order matrix of {k} rows exceeds "
+                                 f"MAX_ORDER_MATRIX_ROWS={MAX_ORDER_MATRIX_ROWS}")
+
+
 def _leq_matrix(rows):
     """Boolean matrix of rows[i] <= rows[j] entrywise, one column at a time."""
     k = rows.shape[0]
-    if k > MAX_ORDER_MATRIX_ROWS:  # refused before anything is allocated
-        raise ResourceGuardError(f"order matrix of {k} rows exceeds "
-                                 f"MAX_ORDER_MATRIX_ROWS={MAX_ORDER_MATRIX_ROWS}")
+    _refuse_order_matrix(k)  # before anything is allocated
     out = np.ones((k, k), dtype=bool)
     for col in rows.T:
         out &= col[:, None] <= col[None, :]
@@ -684,17 +693,32 @@ def sweep_pairs(max_size: int, max_dim: int = 12) -> list[tuple[int, int]]:
     ]
 
 
+def _order_matrix_rows(n, m):
+    """Row counts of the order matrices check_structure builds for (n, m):
+    comb(r + ell, r) for each fiber of a class of degree r >= 2, and the
+    base class's size for each section check."""
+    for d, cls in signature_classes(n, m).items():
+        r = degree(cls[0]) if cls else 0
+        if r >= 2:
+            yield comb(r + chain_length(n, d), r)
+        if r >= 1:
+            yield len(signature_class(n - 2 * r, d[r:]))
+
+
 def run_pair(n: int, m: int):
     """Statistics, chain and structure reports of one poset.
 
     Every poset gets every check, the full decomposition and its
     certificate included.  The poset is classified once for all three,
     and every cache is cleared after it, so the caches hold one poset at
-    a time.
+    a time.  A poset whose order matrices would exceed
+    MAX_ORDER_MATRIX_ROWS is refused after classifying, before any scope.
     """
-    reports = [check_statistics(n, m), check_chains(n, m), check_structure(n, m)]
-    clear_caches()
-    return reports
+    try:
+        _refuse_order_matrix(max(_order_matrix_rows(n, m), default=0))
+        return [check_statistics(n, m), check_chains(n, m), check_structure(n, m)]
+    finally:
+        clear_caches()
 
 
 def run_sweep(

@@ -222,14 +222,23 @@ def lower_covers(comp: Composition) -> list[tuple[int, Composition]]:
     return out
 
 
+def walk_down(comp: Composition, colors) -> list[Composition]:
+    """comp, then the element after each color step down in weight (color
+    c moves a unit from entry c-1 to entry c), all taken in one buffer."""
+    a = list(comp)
+    out = [comp]
+    for c in colors:
+        if not 0 < c < len(a) or a[c - 1] == 0:
+            raise ValueError(f"color {c} not applicable to {tuple(a)}")
+        a[c - 1] -= 1
+        a[c] += 1
+        out.append(tuple(a))
+    return out
+
+
 def apply_color_down(comp: Composition, color: int) -> Composition:
-    """One step down in weight: move a unit from entry color-1 to entry color."""
-    if not 1 <= color <= len(comp) - 1 or comp[color - 1] == 0:
-        raise ValueError(f"color {color} not applicable to {comp}")
-    nxt = list(comp)
-    nxt[color - 1] -= 1
-    nxt[color] += 1
-    return tuple(nxt)
+    """One step down in weight: walk_down with the single color."""
+    return walk_down(comp, (color,))[1]
 
 
 def count_compositions(n: int, m: int) -> int:

@@ -180,10 +180,14 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
     kept (as empty tuples) so callers can report them.  Elements within
     a class are in lexicographic order.  Memoized at every size, so one
     poset is classified once until clear_caches().
+
+    Signatures are flip-invariant and the enumeration is in lex order,
+    so each element reads the signature of the lex-smaller of itself and
+    its flip: only that half of each flip pair is computed.
     """
     groups: dict = {d: [] for d in enumerate_signatures(n, m)}
     for comp in enumerate_compositions(n, m):
-        d = signature(comp)
+        d = signature(min(comp, comp[::-1]))
         if d not in groups:
             raise InconsistencyError(f"signature {d} of {comp} not enumerated")
         groups[d].append(comp)

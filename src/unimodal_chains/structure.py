@@ -196,12 +196,16 @@ def _class_decomposition(n: int, d: Signature, cls) -> ClassDecomposition:
         base = signature_class(n - 2, d[1:])
         chains = [transversal_chain(section(b, 1, s), 0) for b in base]
     else:
-        sub_chains = decompose_all(r, ell).chains()
+        # coordinates of each (r, ell) chain, shared by every fiber
+        sub_coords = [
+            [from_gaps(e) for e in sub.elements()]
+            for sub in decompose_all(r, ell).chains()
+        ]
         chains = []
         for b in signature_class(n - 2 * r, d[r:]):
             rebuilt = _fiber_by_coordinates(b, r, s, ell)
-            for sub in sub_chains:
-                images = [rebuilt[from_gaps(e)] for e in sub.elements()]
+            for coords in sub_coords:
+                images = [rebuilt[lam] for lam in coords]
                 colors = []
                 for low, high in zip(images, images[1:]):
                     c = cover_color(low, high)

@@ -12,14 +12,15 @@ terminal element.  Every step keeps the spread, degree and signature,
 so each walk stays inside one signature class.  The walks below apply
 each pair's whole run of unit moves at once.  A chain is stored as its
 highest-weight element plus the color sequence read downward; the
-element list is rebuilt on demand.
+element list is rebuilt on demand by posets.walk_down, which takes the
+steps in one buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .posets import Composition, apply_color_down, InconsistencyError
+from .posets import Composition, InconsistencyError, walk_down
 from .statistics import _components, spread
 
 
@@ -82,25 +83,16 @@ def _lower_path(comp, i):
     return colors
 
 
-def _walk_down(comp, colors):
-    """comp followed by the element after each color step down."""
-    out = [comp]
-    for c in colors:
-        comp = apply_color_down(comp, c)
-        out.append(comp)
-    return out
-
-
 def raise_run(comp: Composition, i: int) -> list[Composition]:
     """Run the raising algorithm from the maximal pair at left index i."""
     _check_pair(comp, i)
-    return _walk_down(*_raise_path(comp, i))[::-1]
+    return walk_down(*_raise_path(comp, i))[::-1]
 
 
 def lower_run(comp: Composition, i: int) -> list[Composition]:
     """Run the lowering algorithm from the maximal pair at left index i."""
     _check_pair(comp, i)
-    return _walk_down(comp, _lower_path(comp, i))
+    return walk_down(comp, _lower_path(comp, i))
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class Chain:
         return len(self.colors)
 
     def elements(self) -> list[Composition]:
-        return _walk_down(self.top, self.colors)
+        return walk_down(self.top, self.colors)
 
     def bottom(self) -> Composition:
         return self.elements()[-1]

@@ -323,6 +323,22 @@ def test_poset_entries_guard():
     assert elapsed < 1.0
 
 
+def test_order_matrix_guard_refuses_before_the_scopes():
+    # a class of (300, 2) has fibers of 44,850 elements; the refusal comes
+    # after classifying, before the statistics scope, inside a 1 GiB cap
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "unimodal_chains.cli", "verify", "--n", "300", "--m", "2"],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ("resource guard: order matrix of 44850 rows exceeds "
+                           "MAX_ORDER_MATRIX_ROWS=16384\n")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["classes", "decompose"])
 def test_long_thin_poset(command):
     # 2,001 elements with 1,001-entry signatures: the signature list must

@@ -383,3 +383,55 @@ def test_fiber_coordinates_scans_once_per_level(monkeypatch):
             calls.clear()
             structure.fiber_coordinates(a, oracle.remove_maximal_pairs(a))
             assert len(calls) == max(1, oracle.degree(a))
+
+
+def test_misfiled_class_element_is_named(monkeypatch):
+    # move one element of (4,4) into another class: sizes and the union
+    # still match the poset, so only its own signature gives it away
+    from unimodal_chains.statistics import signature, signature_classes
+
+    wrong = (1, 2, 0, 1, 0)
+    classes = {
+        d: tuple(a for a in cls if a != wrong)
+        for d, cls in signature_classes(4, 4).items()
+    }
+    other = next(d for d, cls in classes.items() if cls and d != signature(wrong))
+    classes[other] += (wrong,)
+    monkeypatch.setattr(oracle, "signature_classes", lambda n, m: classes)
+    check = _check(oracle.check_statistics(4, 4), "classes_partition_poset")
+    assert check.failures == 1
+    (ce,) = check.counterexamples
+    assert ce["element"] == wrong and ce["class"] == other
+    assert ce["signature"] == signature(wrong)
+    assert ce["repro"] == "unimodal-chains signature '[1,2,0,1,0]'"
+
+
+def test_run_pair_refuses_oversized_order_matrices_before_any_scope(monkeypatch):
+    from unimodal_chains.posets import ResourceGuardError
+
+    n, m = 5, 5
+    built = []
+    real_leq = oracle._leq_matrix
+    monkeypatch.setattr(
+        oracle, "_leq_matrix", lambda rows: built.append(len(rows)) or real_leq(rows)
+    )
+    admitted = [r.to_dict() for r in oracle.run_pair(n, m)]
+    largest = max(oracle._order_matrix_rows(n, m))
+    assert largest == max(built)  # the bound is the largest matrix built
+
+    scopes = []
+    real_stats = oracle.check_statistics
+    monkeypatch.setattr(
+        oracle, "check_statistics", lambda n, m: scopes.append(n) or real_stats(n, m)
+    )
+    monkeypatch.setattr(oracle, "MAX_ORDER_MATRIX_ROWS", largest - 1)
+    with pytest.raises(
+        ResourceGuardError,
+        match=f"order matrix of {largest} rows exceeds MAX_ORDER_MATRIX_ROWS={largest - 1}",
+    ):
+        oracle.run_pair(n, m)
+    assert scopes == []
+    assert oracle.signature_classes.cache_info().currsize == 0
+    monkeypatch.setattr(oracle, "MAX_ORDER_MATRIX_ROWS", largest)
+    assert [r.to_dict() for r in oracle.run_pair(n, m)] == admitted
+    assert scopes == [n]

@@ -192,3 +192,27 @@ def test_enumerate_bounds_entries_not_only_elements():
     # the long thin and the largest square posets stay admitted
     for n, m in [(2000, 1), (11, 11)]:
         assert len(next(posets.enumerate_compositions(n, m))) == n + 1
+
+
+@pytest.mark.parametrize(
+    "top,colors,at,bad",
+    [
+        ((3, 0, 0), (2, 1), (3, 0, 0), 2),  # entry 1 is empty at the top
+        ((2, 1, 0), (1, 1, 1), (0, 3, 0), 1),  # entry 0 runs out mid-walk
+        ((1, 1, 0), (2, 3), (1, 0, 1), 3),  # no entry 3
+        ((1, 1, 0), (0,), (1, 1, 0), 0),  # no entry -1
+    ],
+)
+def test_walk_down_raises_the_text_of_one_step(top, colors, at, bad):
+    with pytest.raises(ValueError) as walked:
+        posets.walk_down(top, colors)
+    with pytest.raises(ValueError) as stepped:
+        posets.apply_color_down(at, bad)
+    assert str(walked.value) == str(stepped.value) == f"color {bad} not applicable to {at}"
+
+
+def test_walk_down_takes_unit_steps():
+    for comp in posets.enumerate_compositions(3, 3):
+        for color, low in posets.lower_covers(comp):
+            assert posets.walk_down(low, (color,)) == [low, comp]
+            assert posets.apply_color_down(low, color) == comp

@@ -290,3 +290,40 @@ def test_signature_scans_each_step_once(monkeypatch):
     assert signature.cache_info().misses == len(reached)
     assert Counter(calls) == Counter(steps)
     assert len(calls) > posets.count_compositions(n, m)
+
+
+def test_classes_match_each_elements_own_signature():
+    # signature_classes reads one signature per flip pair; grouping by a
+    # fresh signature of every element must give the same classes
+    from unimodal_chains import oracle
+
+    for n, m in oracle.sweep_pairs(1000, 12) + [(9, 9)]:
+        statistics.clear_caches()
+        classes = signature_classes(n, m)
+        statistics.clear_caches()
+        expected = {d: [] for d in enumerate_signatures(n, m)}
+        for comp in enumerate_compositions(n, m):
+            expected[signature(comp)].append(comp)
+        assert classes == {d: tuple(cs) for d, cs in expected.items()}, (n, m)
+    statistics.clear_caches()
+
+
+def test_signature_classes_computes_the_lex_smaller_half_of_each_flip_pair(
+    monkeypatch,
+):
+    n, m = 6, 6
+    real = statistics._components
+    tops = []
+
+    def spy(comp):
+        if len(comp) == n + 1:
+            tops.append(comp)
+        return real(comp)
+
+    statistics.clear_caches()
+    monkeypatch.setattr(statistics, "_components", spy)
+    signature_classes(n, m)
+    smaller = [c for c in enumerate_compositions(n, m) if c <= flip(c)]
+    assert sorted(tops) == smaller
+    assert all(c <= flip(c) for c in tops)
+    statistics.clear_caches()

@@ -371,3 +371,36 @@ def test_degree_is_constant_on_every_class_of_the_sweep():
             if cls:
                 top = degree(min(cls, key=rank))
                 assert {degree(a) for a in cls} == {top}, (n, m, cls[0])
+
+
+def _from_gaps_calls(n, m):
+    """from_gaps calls of decompose_all(n, m), with the coordinates mapped
+    once per class and with them mapped again for every base element.
+    Each class of degree r >= 2 maps the comb(r + ell, r) elements of the
+    (r, ell) poset's chains, and decompose_all(r, ell) adds its own."""
+    once = per_base = 0
+    for d, cls in signature_classes(n, m).items():
+        r = degree(cls[0]) if cls else 0
+        ell = chain_length(n, d)
+        if r >= 2 and ell > 0:
+            sub_once, sub_per_base = _from_gaps_calls(r, ell)
+            bases = len(signature_class(n - 2 * r, d[r:]))
+            once += comb(r + ell, r) + sub_once
+            per_base += comb(r + ell, r) * bases + sub_per_base
+    return once, per_base
+
+
+def test_decompose_all_maps_each_sub_chain_to_coordinates_once(monkeypatch):
+    from unimodal_chains import structure
+
+    calls = []
+    real = structure.from_gaps
+
+    def spy(comp):
+        calls.append(comp)
+        return real(comp)
+
+    monkeypatch.setattr(structure, "from_gaps", spy)
+    once, per_base = _from_gaps_calls(9, 9)
+    decompose_all(9, 9)
+    assert len(calls) == once < per_base
