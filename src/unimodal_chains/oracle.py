@@ -9,11 +9,14 @@ one column at a time and at most MAX_ORDER_MATRIX_ROWS rows, for the
 split extensions that structure builds (numpy is used nowhere else),
 whose section images each class writes once by its own formula.  The
 split-extension checks locate chain steps and stripped initial elements
-with the library's own raising and lowering walks (transversal._raise_path
-and _lower_path); check_chains verifies the chains those walks build.  Within a scope the library is asked for each
-element's value once, and every check of that element reads the answer:
-check_statistics records each element's spread, degree, removal image
-and signature, checks that signature against the element's class, and
+with the library's own raising and lowering walks (posets._raise_path
+and _lower_path, imported through transversal); check_chains verifies
+the chains those walks build.  Within a scope the library is asked for
+each element's value once, and every check of that element reads the
+answer: check_statistics records each element's spread, degree, removal
+image and signature, checks that signature against the element's class
+(signature_classes labels whole chains from one computed signature, so
+this check takes a route the classification does not share), and
 compares the flip's recorded image with the flipped one;
 verify_split_extension lists each class element's in-class upper covers
 once.  Failures are recorded with reproducible inputs, never raised.

@@ -236,6 +236,47 @@ def walk_down(comp: Composition, colors) -> list[Composition]:
     return out
 
 
+def _raise_path(comp, i):
+    """The raising walk from the maximal pair at left index i.
+
+    Returns the initial element reached and the colors of the walk's
+    covers read downward from it, as transversal.Chain stores them.
+    Each pair (a_i, a_{i+1}) takes all of its a_{i+1} - a_{i-1} moves at
+    once; transversal's docstring gives the walk one cover at a time.
+    """
+    a = list(comp)
+    colors = []
+    for i in range(i, 0, -1):
+        t = a[i + 1] - a[i - 1]
+        if t > 0:
+            a[i] += t
+            a[i + 1] -= t
+            colors += [i + 1] * t
+    colors += [1] * a[1]
+    a[0] += a[1]
+    a[1] = 0
+    return tuple(a), colors[::-1]
+
+
+def _lower_path(comp, i):
+    """Colors of the lowering walk from the maximal pair at left index i.
+
+    In the order the walk takes them (weight decreasing); each pair
+    with right index j takes all of its a_{j-1} - a_{j+1} moves at once.
+    """
+    n = len(comp) - 1
+    a = list(comp)
+    colors = []
+    for j in range(i + 1, n):
+        t = a[j - 1] - a[j + 1]
+        if t > 0:
+            a[j - 1] -= t
+            a[j] += t
+            colors += [j] * t
+    colors += [n] * a[n - 1]
+    return colors
+
+
 def apply_color_down(comp: Composition, color: int) -> Composition:
     """One step down in weight: walk_down with the single color."""
     return walk_down(comp, (color,))[1]

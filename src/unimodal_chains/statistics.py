@@ -5,6 +5,10 @@ a maximal pair is an adjacent pair attaining it.  Removing as many
 maximal pairs as possible drops mass and length in a controlled way,
 and iterating the removal yields the signature: a vector refining both
 statistics that is constant on saturated transversal chains.
+signature_classes relies on that invariance: it computes the signature
+of one element per chain it walks and labels the rest of the chain with
+it, checking every label.  The signature memo holds only values that
+signature() computed itself, never a chain's labels.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ from operator import add, mul
 from .posets import (
     Composition,
     InconsistencyError,
+    _lower_path,
+    _raise_path,
     enumerate_compositions,
+    walk_down,
 )
 
 Signature = tuple  # (d_0, ..., d_k) with k = n//2
@@ -181,17 +188,38 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
     a class are in lexicographic order.  Memoized at every size, so one
     poset is classified once until clear_caches().
 
-    Signatures are flip-invariant and the enumeration is in lex order,
-    so each element reads the signature of the lex-smaller of itself and
-    its flip: only that half of each flip pair is computed.
+    The signature is constant on transversal chains, so the walk in lex
+    order computes it only for an element that has no label yet, then
+    labels every element of that element's chain at its leftmost maximal
+    pair.  An element two walks label differently raises
+    InconsistencyError.  The labels stay local: the signature memo gains
+    only the walk starts and their removal images.
     """
     groups: dict = {d: [] for d in enumerate_signatures(n, m)}
+    label: dict = {}
     for comp in enumerate_compositions(n, m):
-        d = signature(min(comp, comp[::-1]))
-        if d not in groups:
-            raise InconsistencyError(f"signature {d} of {comp} not enumerated")
+        d = label.get(comp)
+        if d is None:
+            d = signature(comp)
+            if d not in groups:
+                raise InconsistencyError(f"signature {d} of {comp} not enumerated")
+            if n >= 1:
+                _label_chain(comp, d, label)
         groups[d].append(comp)
     return {d: tuple(cs) for d, cs in groups.items()}
+
+
+def _label_chain(start, d, label):
+    """Label with d every element of start's transversal chain at its
+    leftmost maximal pair, refusing an element labelled otherwise."""
+    i = _components(start)[1][0][0]
+    top, up = _raise_path(start, i)
+    for e in walk_down(top, up + _lower_path(start, i)):
+        if label.setdefault(e, d) != d:
+            raise InconsistencyError(
+                f"chain from {start} in class {d} reaches {e}, "
+                f"labelled {label[e]}"
+            )
 
 
 def clear_caches() -> None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .posets import (
     Composition,
     InconsistencyError,
+    _raise_path,
     cover_color,
     count_compositions,
     from_gaps,
@@ -38,7 +39,7 @@ from .statistics import (
     signature_classes,
     spread,
 )
-from .transversal import Chain, _raise_path, flip_chain, transversal_chain
+from .transversal import Chain, flip_chain, transversal_chain
 
 
 def section(b: Composition, r: int, s: int) -> Composition:
@@ -178,14 +179,19 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
     """
     d = tuple(d)
     cls = signature_class(n, d)
-    return list(_class_decomposition(n, d, cls).chains) if cls else []
+    return list(_class_decomposition(n, d, cls, {}).chains) if cls else []
 
 
-def _class_decomposition(n: int, d: Signature, cls) -> ClassDecomposition:
+def _class_decomposition(
+    n: int, d: Signature, cls, sub_coords: dict
+) -> ClassDecomposition:
     """decompose_class of the nonempty class cls.
 
     Degree is constant on a signature class, so any element gives r;
     _indexed rejects the decomposition if the classes were wrong.
+    sub_coords maps (r, ell) to the coordinates of each chain of the
+    (r, ell) poset; decompose_all shares one such dict among its classes,
+    so each (r, ell) poset is decomposed once per call.
     """
     r = degree(cls[0])
     s = sum(d)
@@ -197,14 +203,15 @@ def _class_decomposition(n: int, d: Signature, cls) -> ClassDecomposition:
         chains = [transversal_chain(section(b, 1, s), 0) for b in base]
     else:
         # coordinates of each (r, ell) chain, shared by every fiber
-        sub_coords = [
-            [from_gaps(e) for e in sub.elements()]
-            for sub in decompose_all(r, ell).chains()
-        ]
+        if (r, ell) not in sub_coords:
+            sub_coords[r, ell] = [
+                [from_gaps(e) for e in sub.elements()]
+                for sub in decompose_all(r, ell).chains()
+            ]
         chains = []
         for b in signature_class(n - 2 * r, d[r:]):
             rebuilt = _fiber_by_coordinates(b, r, s, ell)
-            for coords in sub_coords:
+            for coords in sub_coords[r, ell]:
                 images = [rebuilt[lam] for lam in coords]
                 colors = []
                 for low, high in zip(images, images[1:]):
@@ -227,7 +234,10 @@ def decompose_all(n: int, m: int) -> Decomposition:
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")
     classes = signature_classes(n, m).items()
-    out = tuple(_class_decomposition(n, d, cls) for d, cls in classes if cls)
+    sub_coords: dict = {}
+    out = tuple(
+        _class_decomposition(n, d, cls, sub_coords) for d, cls in classes if cls
+    )
     return _indexed(n, m, out)
 
 

@@ -9,8 +9,11 @@ with right index j = i+1, a unit moves from entry j-1 to entry j
 (color j) while a_{j-1} exceeds a_{j+1}, the pair drifts right on
 equality, and at j = n the walk drains a_{n-1} into a_n, ending at a
 terminal element.  Every step keeps the spread, degree and signature,
-so each walk stays inside one signature class.  The walks below apply
-each pair's whole run of unit moves at once.  A chain is stored as its
+so each walk stays inside one signature class.  The walks themselves,
+posets._raise_path and posets._lower_path, live beside posets.walk_down
+and read no statistic, so statistics.signature_classes can label whole
+chains with them without importing this module; they apply each pair's
+whole run of unit moves at once.  A chain is stored as its
 highest-weight element plus the color sequence read downward; the
 element list is rebuilt on demand by posets.walk_down, which takes the
 steps in one buffer.
@@ -20,7 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .posets import Composition, InconsistencyError, walk_down
+from .posets import (
+    Composition,
+    InconsistencyError,
+    _lower_path,
+    _raise_path,
+    walk_down,
+)
 from .statistics import _components, spread
 
 
@@ -41,46 +50,6 @@ def is_terminal(comp: Composition) -> bool:
 def _check_pair(comp, i):
     if not 0 <= i <= len(comp) - 2 or comp[i] + comp[i + 1] != spread(comp):
         raise ValueError(f"index {i} is not a maximal pair of {comp}")
-
-
-def _raise_path(comp, i):
-    """The raising walk from the pair at left index i.
-
-    Returns the initial element reached and the colors of the walk's
-    covers read downward from it, as a Chain stores them.  Each pair
-    (a_i, a_{i+1}) takes all of its a_{i+1} - a_{i-1} moves at once.
-    """
-    a = list(comp)
-    colors = []
-    for i in range(i, 0, -1):
-        t = a[i + 1] - a[i - 1]
-        if t > 0:
-            a[i] += t
-            a[i + 1] -= t
-            colors += [i + 1] * t
-    colors += [1] * a[1]
-    a[0] += a[1]
-    a[1] = 0
-    return tuple(a), colors[::-1]
-
-
-def _lower_path(comp, i):
-    """Colors of the lowering walk from the pair at left index i.
-
-    In the order the walk takes them (weight decreasing); each pair
-    with right index j takes all of its a_{j-1} - a_{j+1} moves at once.
-    """
-    n = len(comp) - 1
-    a = list(comp)
-    colors = []
-    for j in range(i + 1, n):
-        t = a[j - 1] - a[j + 1]
-        if t > 0:
-            a[j - 1] -= t
-            a[j] += t
-            colors += [j] * t
-    colors += [n] * a[n - 1]
-    return colors
 
 
 def raise_run(comp: Composition, i: int) -> list[Composition]:

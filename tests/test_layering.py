@@ -41,3 +41,10 @@ def test_structure_holds_no_memo():
         for alias in node.names
     }
     assert not names & {"functools", "lru_cache", "cache"}
+
+
+def test_statistics_reaches_no_higher_layer():
+    # signature_classes walks chains with the posets walks, not through
+    # transversal, so statistics sits below every module that reads it
+    imports = _imports(PACKAGE / "statistics.py")
+    assert not imports & {".transversal", ".structure", ".oracle"}

@@ -1,3 +1,6 @@
+import ast
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -293,11 +296,12 @@ def test_signature_scans_each_step_once(monkeypatch):
 
 
 def test_classes_match_each_elements_own_signature():
-    # signature_classes reads one signature per flip pair; grouping by a
-    # fresh signature of every element must give the same classes
+    # signature_classes computes one signature per walked chain and labels
+    # the rest of the chain with it; grouping by a fresh signature of every
+    # element must give the same classes
     from unimodal_chains import oracle
 
-    for n, m in oracle.sweep_pairs(1000, 12) + [(9, 9)]:
+    for n, m in oracle.sweep_pairs(1000, 12) + [(9, 9), (12, 7)]:
         statistics.clear_caches()
         classes = signature_classes(n, m)
         statistics.clear_caches()
@@ -308,22 +312,57 @@ def test_classes_match_each_elements_own_signature():
     statistics.clear_caches()
 
 
-def test_signature_classes_computes_the_lex_smaller_half_of_each_flip_pair(
-    monkeypatch,
-):
+def test_signature_classes_computes_one_signature_per_walk_start(monkeypatch):
+    # the full-length elements whose signature is computed (a signature
+    # miss removes their maximal pairs) are exactly the walk starts, and
+    # each is the lex-first element that no earlier chain labelled
+    from unimodal_chains.transversal import transversal_chain
+
     n, m = 6, 6
-    real = statistics._components
-    tops = []
+    real_remove, real_raise = statistics._remove_runs, statistics._raise_path
+    computed, walked = [], []
 
-    def spy(comp):
+    def remove_spy(comp, runs):
         if len(comp) == n + 1:
-            tops.append(comp)
-        return real(comp)
+            computed.append(comp)
+        return real_remove(comp, runs)
+
+    def raise_spy(comp, i):
+        walked.append(comp)
+        return real_raise(comp, i)
 
     statistics.clear_caches()
-    monkeypatch.setattr(statistics, "_components", spy)
+    monkeypatch.setattr(statistics, "_remove_runs", remove_spy)
+    monkeypatch.setattr(statistics, "_raise_path", raise_spy)
     signature_classes(n, m)
-    smaller = [c for c in enumerate_compositions(n, m) if c <= flip(c)]
-    assert sorted(tops) == smaller
-    assert all(c <= flip(c) for c in tops)
+    labelled, starts = set(), []
+    for comp in enumerate_compositions(n, m):
+        if comp not in labelled:
+            starts.append(comp)
+            i = maximal_structure(comp).components[0][0]
+            labelled.update(transversal_chain(comp, i).elements())
+    assert computed == walked == starts
+    assert len(labelled) == 924 and len(starts) == 76
     statistics.clear_caches()
+
+
+def test_a_walk_that_leaves_its_class_is_refused(monkeypatch):
+    # every walk also claims the lex-first element; the first walk from
+    # another class finds it labelled otherwise
+    n, m = 4, 4
+    first = (0,) * n + (m,)
+    real = statistics.walk_down
+    monkeypatch.setattr(
+        statistics, "walk_down", lambda top, colors: real(top, colors) + [first]
+    )
+    statistics.clear_caches()
+    with pytest.raises(InconsistencyError) as err:
+        signature_classes(n, m)
+    statistics.clear_caches()
+    found = re.fullmatch(
+        r"chain from (\(.*\)) in class (\(.*\)) reaches (\(.*\)), labelled (\(.*\))",
+        str(err.value),
+    )
+    start, d, element, label = map(ast.literal_eval, found.groups())
+    assert element == first and label == signature(first)
+    assert signature(start) == d != label

@@ -375,17 +375,21 @@ def test_degree_is_constant_on_every_class_of_the_sweep():
 
 def _from_gaps_calls(n, m):
     """from_gaps calls of decompose_all(n, m), with the coordinates mapped
-    once per class and with them mapped again for every base element.
-    Each class of degree r >= 2 maps the comb(r + ell, r) elements of the
-    (r, ell) poset's chains, and decompose_all(r, ell) adds its own."""
+    once per distinct (r, ell) and with them mapped again for every class
+    and base element.  Each (r, ell) of degree r >= 2 maps the
+    comb(r + ell, r) elements of the (r, ell) poset's chains, and
+    decompose_all(r, ell) adds its own."""
     once = per_base = 0
+    seen = set()
     for d, cls in signature_classes(n, m).items():
         r = degree(cls[0]) if cls else 0
         ell = chain_length(n, d)
         if r >= 2 and ell > 0:
             sub_once, sub_per_base = _from_gaps_calls(r, ell)
             bases = len(signature_class(n - 2 * r, d[r:]))
-            once += comb(r + ell, r) + sub_once
+            if (r, ell) not in seen:
+                seen.add((r, ell))
+                once += comb(r + ell, r) + sub_once
             per_base += comb(r + ell, r) * bases + sub_per_base
     return once, per_base
 
@@ -404,3 +408,27 @@ def test_decompose_all_maps_each_sub_chain_to_coordinates_once(monkeypatch):
     once, per_base = _from_gaps_calls(9, 9)
     decompose_all(9, 9)
     assert len(calls) == once < per_base
+
+
+def test_decompose_all_decomposes_each_sub_poset_once(monkeypatch):
+    # two classes of (9, 9) have degree 2 and chain length 15; they share
+    # one decomposition of L(2, 15)
+    from unimodal_chains import structure
+
+    pairs = [
+        (degree(cls[0]), chain_length(9, d))
+        for d, cls in signature_classes(9, 9).items()
+        if cls and degree(cls[0]) >= 2
+    ]
+    assert pairs.count((2, 15)) == 2
+    calls = []
+    real = structure.decompose_all
+
+    def spy(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(structure, "decompose_all", spy)
+    spy(9, 9)
+    assert calls.count((2, 15)) == 1
+    assert set(pairs) <= set(calls)
