@@ -5,6 +5,9 @@ tuple of length m.  Its multiplicity encoding is a tuple (a_0, ..., a_n)
 where a_i counts the parts equal to i; these tuples ("compositions")
 are the working representation everywhere else in the package.  All
 values are plain tuples of ints: immutable, hashable, cheap to compare.
+The color steps live here, walk_down and the raising and lowering walks
+along maximal pairs included; they read no statistic, so statistics and
+transversal both build on them.
 """
 
 from __future__ import annotations
