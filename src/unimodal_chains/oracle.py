@@ -4,11 +4,11 @@ Each check recomputes its target through a route the optimized code
 never takes: partition-side window maxima for spread and degree,
 exhaustive removal orders for the removal map, set algebra for class
 partitions, one re-walk of each distinct chain per class with every
-element checked for membership in its chains, and numpy order matrices,
-one column at a time and at most MAX_ORDER_MATRIX_ROWS rows, for the
-split extensions that structure builds (numpy is used nowhere else),
-whose section images each class writes once by its own formula.  The
-split-extension checks locate chain steps and stripped initial elements
+element checked for membership in its chains, and exact order matrices,
+one int bitset per row, built one column at a time and at most
+MAX_ORDER_MATRIX_ROWS rows, for the split extensions that structure
+builds, whose section images each class writes once by its own formula.
+The split-extension checks locate chain steps and stripped initial elements
 with the library's own raising and lowering walks (posets._raise_path
 and _lower_path, imported through transversal); check_chains verifies
 the chains those walks build.  Within a scope the library is asked for
@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
-
-import numpy as np
 
 from .posets import (
     CheckResult,
@@ -84,7 +83,7 @@ from .transversal import (
 )
 
 ORDER_INDEPENDENCE_CAP = 3000  # poset size up to which removal orders are explored
-MAX_ORDER_MATRIX_ROWS = 16_384  # a fiber check's four k x k bool matrices: <= 1 GiB
+MAX_ORDER_MATRIX_ROWS = 16_384  # a k-row order matrix takes about k*k/8 bytes: 32 MiB
 
 # split-extension checks expected to hold with zero exceptions
 SPLIT_SOUND_CHECKS = (
@@ -443,11 +442,7 @@ def check_chains(n: int, m: int) -> VerificationReport:
 
 def _partition_suffix_matrix(elements):
     """Rows of suffix sums (number of parts >= j for j = 1..n)."""
-    arr = np.array(elements, dtype=np.int64)
-    if arr.size == 0:
-        return arr.reshape(len(elements), 0)
-    rev = arr[:, ::-1].cumsum(axis=1)[:, ::-1]
-    return rev[:, 1:]
+    return [list(accumulate(reversed(comp[1:])))[::-1] for comp in elements]
 
 
 def _refuse_order_matrix(k):
@@ -457,13 +452,36 @@ def _refuse_order_matrix(k):
 
 
 def _leq_matrix(rows):
-    """Boolean matrix of rows[i] <= rows[j] entrywise, one column at a time."""
-    k = rows.shape[0]
-    _refuse_order_matrix(k)  # before anything is allocated
-    out = np.ones((k, k), dtype=bool)
-    for col in rows.T:
-        out &= col[:, None] <= col[None, :]
+    """Order of rows[i] <= rows[j] entrywise, one int bitset per row i.
+
+    Bit j of row i is set when rows[i] <= rows[j].  Built one column at
+    a time: OR-ing the rows that hold each value, from the largest value
+    down, gives the rows holding at least that value, which each row's
+    bitset is AND-ed with.
+    """
+    k = len(rows)
+    _refuse_order_matrix(k)  # before any row is read
+    out = [(1 << k) - 1] * k
+    for col in zip(*rows):
+        holders = {}
+        for j, v in enumerate(col):
+            holders[v] = holders.get(v, 0) | 1 << j
+        at_least = {}
+        acc = 0
+        for v in sorted(holders, reverse=True):
+            acc |= holders[v]
+            at_least[v] = acc
+        out = [bits & at_least[v] for bits, v in zip(out, col)]
     return out
+
+
+def _pairs(rows):
+    """(i, j) for each set bit j of rows[i], in row-major order."""
+    for i, bits in enumerate(rows):
+        while bits:
+            low = bits & -bits
+            yield i, low.bit_length() - 1
+            bits ^= low
 
 
 @dataclass
@@ -534,7 +552,7 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
     if len(base) > 1:
         base_leq = _leq_matrix(_partition_suffix_matrix(base))
         img_leq = _leq_matrix(_partition_suffix_matrix(list(sections.values())))
-        for i, j in np.argwhere(base_leq & ~img_leq):
+        for i, j in _pairs(lo & ~hi for lo, hi in zip(base_leq, img_leq)):
             checks["section_order_preserving"].add({"base_pair": (base[i], base[j])})
 
     expected_fiber = comb(r + ell, r)
@@ -584,10 +602,9 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
         if r >= 2:
             # full pairwise order check against the coordinate lattice
             elems = list(fiber)
-            lam_rows = np.array([coords[a] for a in elems], dtype=np.int64)
             fib_leq = _leq_matrix(_partition_suffix_matrix(elems))
-            lam_leq = _leq_matrix(lam_rows)
-            for i, j in np.argwhere(fib_leq != lam_leq):
+            lam_leq = _leq_matrix([coords[a] for a in elems])
+            for i, j in _pairs(x ^ y for x, y in zip(fib_leq, lam_leq)):
                 checks["fiber_order_isomorphism"].add({"pair": (elems[i], elems[j])})
         # r == 1: the fiber is one saturated chain, whose induced order is
         # total; bijection + cover correspondence already pin the isomorphism.

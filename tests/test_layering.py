@@ -1,6 +1,9 @@
 """The library constructs and the oracle checks: an import-level guard."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "unimodal_chains"
@@ -19,9 +22,30 @@ def _imports(path):
     return out
 
 
-def test_only_the_oracle_uses_numpy():
-    users = {p.name for p in PACKAGE.glob("*.py") if "numpy" in _imports(p)}
-    assert users == {"oracle.py"}
+def test_the_package_imports_only_the_standard_library():
+    # function-level imports included: _imports walks the whole tree
+    third_party = {
+        (p.name, name)
+        for p in PACKAGE.glob("*.py")
+        for name in _imports(p)
+        if not name.startswith(".")
+        and name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert third_party == set()
+
+
+def test_a_cli_call_loads_no_numpy():
+    code = (
+        "import sys\n"
+        "from unimodal_chains import cli\n"
+        "cli.main(['signature', '[1,2,0,1,0]'])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_structure_does_not_reach_into_the_oracle():

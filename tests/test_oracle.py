@@ -77,37 +77,77 @@ def test_failed_section_order_is_recorded(monkeypatch):
     assert rep.failed_names() == ["section_order_preserving"]
 
 
+def test_failed_fiber_order_is_recorded_row_by_row(monkeypatch):
+    # two incomparable elements of the one fiber of class (0,1,0,1) at
+    # n=6 (degree 2, base (1,0,1)) trade coordinates (3,3) and (1,4): the
+    # coordinates stay a bijection, so the pairwise order check runs and
+    # reports each failing pair in row-major order of the fiber
+    x, y = (1, 0, 1, 1, 1, 1, 1), (1, 1, 1, 0, 1, 0, 2)
+    real = oracle.fiber_coordinates
+    swap = {x: y, y: x}
+    monkeypatch.setattr(
+        oracle, "fiber_coordinates", lambda a, b: real(swap.get(a, a), b)
+    )
+    pairs = [
+        (x, (1, 0, 2, 0, 1, 0, 2)),
+        ((1, 0, 2, 0, 1, 1, 1), x),
+        ((1, 0, 2, 0, 1, 1, 1), y),
+        ((1, 0, 2, 0, 2, 0, 1), x),
+        ((1, 0, 2, 0, 2, 0, 1), y),
+        (y, (1, 0, 2, 0, 1, 0, 2)),
+        ((2, 0, 1, 0, 1, 0, 2), x),
+        ((2, 0, 1, 0, 1, 0, 2), y),
+    ]
+    rep = oracle.verify_split_extension(6, (0, 1, 0, 1))
+    got = rep.checks["fiber_order_isomorphism"].counterexamples
+    assert got == [{"pair": p} for p in pairs]
+
+    check = _check(oracle.check_structure(6, 6), "fiber_order_isomorphism")
+    assert check.info == {"failing_pairs": 8, "failing_classes": 1}
+    (ce,) = check.counterexamples
+    assert ce == {"signature": (0, 1, 0, 1), "examples": got[:3]}
+
+
 @pytest.mark.parametrize("n,m", [(5, 5), (0, 3), (1, 4)])
 def test_leq_matrix_is_the_poset_order(n, m):
-    # suffix rows of width n: 5, 0 (no columns, all True) and 1
+    # suffix rows of width n: 5, 0 (no columns, every pair related) and 1
     from unimodal_chains.posets import leq
     from unimodal_chains.statistics import signature_classes
 
     for cls in signature_classes(n, m).values():
         got = oracle._leq_matrix(oracle._partition_suffix_matrix(cls))
-        assert got.shape == (len(cls), len(cls))
+        assert len(got) == len(cls)
         for i, a in enumerate(cls):
+            assert got[i] >> len(cls) == 0
             for j, b in enumerate(cls):
-                assert got[i, j] == leq(a, b), (a, b)
+                assert bool(got[i] >> j & 1) == leq(a, b), (a, b)
 
 
-def test_order_matrix_over_the_bound_is_refused_before_it_allocates(monkeypatch):
-    import numpy as np
-
+def test_order_matrix_over_the_bound_is_refused_before_it_allocates():
     from unimodal_chains.posets import ResourceGuardError
 
-    class Allocated(Exception):
+    class Read(Exception):
         pass
 
-    def ones(*args, **kwargs):
-        raise Allocated
+    class Rows:
+        """k rows that raise as soon as the builder reads one."""
 
-    rows = np.zeros((oracle.MAX_ORDER_MATRIX_ROWS + 1, 1), dtype=np.int64)
-    monkeypatch.setattr(oracle.np, "ones", ones)
+        def __init__(self, k):
+            self.k = k
+
+        def __len__(self):
+            return self.k
+
+        def __iter__(self):
+            raise Read
+
+        def __getitem__(self, i):
+            raise Read
+
     with pytest.raises(ResourceGuardError, match="MAX_ORDER_MATRIX_ROWS=16384"):
-        oracle._leq_matrix(rows)
-    with pytest.raises(Allocated):  # one row fewer is admitted
-        oracle._leq_matrix(rows[1:])
+        oracle._leq_matrix(Rows(oracle.MAX_ORDER_MATRIX_ROWS + 1))
+    with pytest.raises(Read):  # one row fewer is admitted
+        oracle._leq_matrix(Rows(oracle.MAX_ORDER_MATRIX_ROWS))
 
 
 def test_removal_order_independence_explored_on_small():
