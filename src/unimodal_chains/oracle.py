@@ -7,12 +7,13 @@ partitions, one re-walk of each distinct chain per class with every
 element checked for membership in its chains, and exact order matrices,
 one int bitset per row, built one column at a time and at most
 MAX_ORDER_MATRIX_ROWS rows, for the split extensions that structure
-builds, whose section images each class writes once by its own formula.
-The split-extension checks locate chain steps and stripped initial elements
-with the library's own raising and lowering walks (posets._raise_path
-and _lower_path, imported through transversal); check_chains verifies
-the chains those walks build.  Within a scope the library is asked for
-each element's value once, and every check of that element reads the
+builds.  verify_split_extension classifies each class's base poset
+itself, writes the section images by its own formula and rebuilds every
+fiber from its image.  The split-extension checks locate chain steps and
+stripped initial elements with the library's own raising and lowering
+walks (posets._raise_path and _lower_path); check_chains verifies the
+chains those walks build.  Within a scope the library is asked for each
+element's value once, and every check of that element reads the
 answer: check_statistics records each element's spread, degree, removal
 image and signature, checks that signature against the element's class
 (signature_classes labels whole chains from one computed signature, so
@@ -34,6 +35,8 @@ from .posets import (
     Composition,
     InconsistencyError,
     ResourceGuardError,
+    _lower_path,
+    _raise_path,
     apply_color_down,
     count_compositions,
     enumerate_compositions,
@@ -70,8 +73,6 @@ from .structure import (
     unimodality_certificate,
 )
 from .transversal import (
-    _lower_path,
-    _raise_path,
     chains_through,
     closed_form_colors,
     closed_form_terminal,
@@ -563,7 +564,7 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
             continue
         try:
             coords = {a: fiber_coordinates(a, b) for a in fiber}
-            rebuilt = _fiber_by_coordinates(b, r, s, ell)
+            rebuilt = _fiber_by_coordinates(sections[b], r, ell)
         except (InconsistencyError, ValueError) as exc:
             checks["coordinates_bijective"].add({"base": b, "error": str(exc)})
             continue

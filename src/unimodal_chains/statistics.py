@@ -157,33 +157,26 @@ def enumerate_signatures(n: int, m: int) -> list[Signature]:
 def _sigs(k, m):
     """Signatures (d_0, ..., d_k) of mass m, ordered by (d_k, ..., d_0).
 
-    Built bottom-up, one level per entry, so the depth does not grow
-    with k: level j extends each mass's list of (d_0, ..., d_{j-1}) by
-    d_j.  Only the masses a higher level asks for are built.
+    Built one entry at a time from d_k down, so the depth does not grow
+    with k: each partial vector (d_j, ..., d_k) carries the mass left
+    for the entries below it, and d_0 takes all that is left.
     """
-    needed = [{m}]  # masses level k, k-1, ..., 1 ask of the level below
+    partial = [((), m)]
     for j in range(k, 0, -1):
-        needed.append(
-            {mu - (j + 1) * dj for mu in needed[-1] for dj in range(mu // (j + 1) + 1)}
-        )
-    by_mass = {mu: [(mu,)] for mu in needed.pop()}
-    for j in range(1, k + 1):
-        by_mass = {
-            mu: [
-                prefix + (dj,)
-                for dj in range(mu // (j + 1) + 1)
-                for prefix in by_mass[mu - (j + 1) * dj]
-            ]
-            for mu in needed.pop()
-        }
-    return by_mass[m]
+        partial = [
+            ((dj,) + tail, left - (j + 1) * dj)
+            for tail, left in partial
+            for dj in range(left // (j + 1) + 1)
+        ]
+    return [(left,) + tail for tail, left in partial]
 
 
 @lru_cache(maxsize=None)
 def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]]:
     """Group all of the (n, m) composition poset by signature.
 
-    Classes appear in the enumerate_signatures order; empty classes are
+    Classes appear in the enumerate_signatures order, listed after the
+    enumeration so that its size guards run first; empty classes are
     kept (as empty tuples) so callers can report them.  Elements within
     a class are in lexicographic order.  Memoized at every size, so one
     poset is classified once until clear_caches().
@@ -191,22 +184,25 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
     The signature is constant on transversal chains, so the walk in lex
     order computes it only for an element that has no label yet, then
     labels every element of that element's chain at its leftmost maximal
-    pair.  An element two walks label differently raises
-    InconsistencyError.  The labels stay local: the signature memo gains
-    only the walk starts and their removal images.
+    pair.  An element two walks label differently, or a signature not
+    enumerated, raises InconsistencyError.  The labels stay local: the
+    signature memo gains only the walk starts and their removal images.
     """
-    groups: dict = {d: [] for d in enumerate_signatures(n, m)}
+    groups: dict = {}
     label: dict = {}
     for comp in enumerate_compositions(n, m):
-        d = label.get(comp)
+        d = label.pop(comp, None)
         if d is None:
             d = signature(comp)
-            if d not in groups:
-                raise InconsistencyError(f"signature {d} of {comp} not enumerated")
             if n >= 1:
                 _label_chain(comp, d, label)
-        groups[d].append(comp)
-    return {d: tuple(cs) for d, cs in groups.items()}
+                del label[comp]
+        label[comp] = d  # keyed by the enumerated tuple, not a walked copy
+        groups.setdefault(d, []).append(comp)
+    classes = {d: tuple(groups.pop(d, ())) for d in enumerate_signatures(n, m)}
+    for d, cs in groups.items():
+        raise InconsistencyError(f"signature {d} of {cs[0]} not enumerated")
+    return classes
 
 
 def _label_chain(start, d, label):

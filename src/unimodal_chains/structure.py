@@ -1,12 +1,13 @@
 """Split-extension structure of signature classes and chain decompositions.
 
 Each signature class projects onto a smaller class by maximal-pair
-removal; prepending spread-sized blocks is a section of the projection
-(section() writes every image), and every fiber is order-isomorphic to
-a small Young's lattice whose coordinates count the covers of
-transversal's raising walk.  Iterating this picture decomposes the whole
-composition poset into saturated chains whose per-length tops are
-centered and unimodal, which is exactly the unimodality certificate.
+removal; prepending spread-sized blocks is a section of the projection,
+and every fiber is order-isomorphic to a small Young's lattice whose
+coordinates count the covers of transversal's raising walk.  Iterating
+this picture decomposes the whole composition poset into saturated chains
+whose per-length tops are centered and unimodal, which is exactly the
+unimodality certificate.  The decomposition reads each class's section
+images, its fibers' tops, off the class, so it classifies no base poset.
 It keeps no memo; the ones it reads live in statistics, beside clear_caches().
 This module only constructs; oracle.verify_split_extension checks it.
 """
@@ -123,12 +124,12 @@ def fiber_element(lam: tuple[int, ...], b: Composition, s: int) -> Composition:
     return x
 
 
-def _fiber_by_coordinates(b, r, s, ell):
-    """All fiber elements keyed by coordinates, sharing chain prefixes.
+def _fiber_by_coordinates(top, r, ell):
+    """The fiber below the section image top, keyed by coordinates.
 
-    Walks the coordinate tree from the section image; the chain from a
-    partial element is materialized once per distinct coordinate tail,
-    so the whole fiber costs about one chain step per element.
+    Walks the coordinate tree from top; the chain from a partial element
+    is materialized once per distinct coordinate tail, so the whole
+    fiber costs about one chain step per element.
     """
     out = {}
 
@@ -139,13 +140,13 @@ def _fiber_by_coordinates(b, r, s, ell):
         ch = transversal_chain(x, 0)
         if ch.length != ell:
             raise InconsistencyError(
-                f"chain of length {ch.length} != {ell} inside fiber over {b}"
+                f"chain of length {ch.length} != {ell} inside fiber from {top}"
             )
         elems = ch.elements()
         for t in range(min(cap, ch.length) + 1):
             walk(elems[t], remaining - 1, t, tail + (t,))
 
-    walk(section(b, r, s), r, ell, ())
+    walk(top, r, ell, ())
     return out
 
 
@@ -185,22 +186,23 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
 def _class_decomposition(
     n: int, d: Signature, cls, sub_coords: dict
 ) -> ClassDecomposition:
-    """decompose_class of the nonempty class cls.
+    """decompose_class of the nonempty class cls, read off cls alone.
 
     Degree is constant on a signature class, so any element gives r;
-    _indexed rejects the decomposition if the classes were wrong.
-    sub_coords maps (r, ell) to the coordinates of each chain of the
-    (r, ell) poset; decompose_all shares one such dict among its classes,
-    so each (r, ell) poset is decomposed once per call.
+    _indexed rejects the decomposition if the classes were wrong.  The
+    fibers' tops, the section images, are the elements that begin with r
+    blocks (s, 0).  sub_coords maps (r, ell) to the coordinates of each
+    chain of the (r, ell) poset; decompose_all shares one such dict
+    among its classes, so each (r, ell) poset is decomposed once per call.
     """
     r = degree(cls[0])
-    s = sum(d)
     ell = chain_length(n, d)
-    if ell == 0 or r == 0:
-        chains = [Chain(a, ()) for a in cls]
+    head = (sum(d), 0) * r
+    tops = [a for a in cls if a[: 2 * r] == head]
+    if ell == 0 or r == 0:  # one-point fibers: every element is a top
+        chains = [Chain(top, ()) for top in tops]
     elif r == 1:
-        base = signature_class(n - 2, d[1:])
-        chains = [transversal_chain(section(b, 1, s), 0) for b in base]
+        chains = [transversal_chain(top, 0) for top in tops]
     else:
         # coordinates of each (r, ell) chain, shared by every fiber
         if (r, ell) not in sub_coords:
@@ -209,8 +211,8 @@ def _class_decomposition(
                 for sub in decompose_all(r, ell).chains()
             ]
         chains = []
-        for b in signature_class(n - 2 * r, d[r:]):
-            rebuilt = _fiber_by_coordinates(b, r, s, ell)
+        for top in tops:
+            rebuilt = _fiber_by_coordinates(top, r, ell)
             for coords in sub_coords[r, ell]:
                 images = [rebuilt[lam] for lam in coords]
                 colors = []

@@ -305,18 +305,42 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-def test_poset_entries_guard():
-    # 998,991 elements pass MAX_POSET_SIZE, but of 1,413 entries each;
-    # under a 1 GiB address-space cap a broken guard ends in a MemoryError
-    # instead of taking the memory of the whole machine
+def _run_capped(*argv, timeout):
+    """The CLI in a fresh interpreter under a 1 GiB address-space cap, so a
+    broken guard ends in a MemoryError instead of taking the whole machine."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "unimodal_chains.cli", "classes", "--n", "1412", "--m", "2"],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=_cap_address_space,
+    return subprocess.run(
+        [sys.executable, "-m", "unimodal_chains.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=timeout, preexec_fn=_cap_address_space,
     )
+
+
+def test_poset_entries_guard():
+    # 998,991 elements pass MAX_POSET_SIZE, but of 1,413 entries each
+    start = time.perf_counter()
+    proc = _run_capped("classes", "--n", "1412", "--m", "2", timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert "MAX_POSET_SIZE" in proc.stderr and "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "--n", "10", "--m", "400"),
+        ("decompose", "--n", "10", "--m", "200"),
+        ("verify", "--n", "10", "--m", "200"),
+    ],
+    ids=["classes-400", "decompose-200", "verify-200"],
+)
+def test_poset_size_guard_runs_before_any_signature_is_listed(argv):
+    # (10, 200) has 36,976,937,738,226,486 elements and 4,775,383
+    # signatures: listing them takes seconds and most of a GiB, and at
+    # (10, 400) more than the cap, so the guard must come first
+    start = time.perf_counter()
+    proc = _run_capped(*argv, timeout=60)
     elapsed = time.perf_counter() - start
     assert proc.returncode == 3, proc.stderr
     assert "MAX_POSET_SIZE" in proc.stderr and "Traceback" not in proc.stderr
@@ -325,14 +349,8 @@ def test_poset_entries_guard():
 
 def test_order_matrix_guard_refuses_before_the_scopes():
     # a class of (300, 2) has fibers of 44,850 elements; the refusal comes
-    # after classifying, before the statistics scope, inside a 1 GiB cap
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "unimodal_chains.cli", "verify", "--n", "300", "--m", "2"],
-        capture_output=True, text=True, env=env, timeout=30,
-        preexec_fn=_cap_address_space,
-    )
+    # after classifying, before the statistics scope
+    proc = _run_capped("verify", "--n", "300", "--m", "2", timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == ("resource guard: order matrix of 44850 rows exceeds "
                            "MAX_ORDER_MATRIX_ROWS=16384\n")

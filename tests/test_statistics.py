@@ -366,3 +366,17 @@ def test_a_walk_that_leaves_its_class_is_refused(monkeypatch):
     start, d, element, label = map(ast.literal_eval, found.groups())
     assert element == first and label == signature(first)
     assert signature(start) == d != label
+
+
+def test_a_signature_outside_the_list_is_refused(monkeypatch):
+    # the signatures are listed after the enumeration; an element whose
+    # signature the list lacks still raises
+    statistics.clear_caches()
+    listed = enumerate_signatures(4, 4)
+    monkeypatch.setattr(statistics, "enumerate_signatures", lambda n, m: listed[1:])
+    missing = re.escape(f"signature {listed[0]} of (0, 0, 0, 0, 4) not enumerated")
+    with pytest.raises(InconsistencyError, match=missing):
+        signature_classes(4, 4)
+    monkeypatch.undo()
+    assert list(signature_classes(4, 4)) == listed
+    statistics.clear_caches()

@@ -432,3 +432,16 @@ def test_decompose_all_decomposes_each_sub_poset_once(monkeypatch):
     spy(9, 9)
     assert calls.count((2, 15)) == 1
     assert set(pairs) <= set(calls)
+
+
+@pytest.mark.parametrize("n, m, memos", [(9, 9, 6), (12, 7, 5)])
+def test_decompose_all_classifies_no_base_poset(n, m, memos):
+    # the poset itself and its (r, ell) sub-posets, whose chains are
+    # transported; each class's fibers are read off the class
+    from unimodal_chains import statistics
+
+    statistics.clear_caches()
+    signature_classes(n, m)
+    decompose_all(n, m)
+    assert statistics.signature_classes.cache_info().currsize == memos
+    statistics.clear_caches()
