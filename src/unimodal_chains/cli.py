@@ -94,7 +94,7 @@ def cmd_signature(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    if args.signature:
+    if args.signature is not None:
         # checked before classifying: these rules admit exactly the class keys
         wanted = _parse_signature(args.signature)
         if (len(wanted) != args.n // 2 + 1 or any(dj < 0 for dj in wanted)
@@ -191,17 +191,9 @@ def cmd_verify(args) -> int:
         waived.difference_update(SPLIT_DEFECT_CHECKS)
         withdrawn.append("--no-waive-projection-order")
     waived = frozenset(waived)
-    jobs = args.jobs
-    env_jobs = os.environ.get("UNIMODAL_CHAINS_JOBS")
-    if env_jobs:
-        try:
-            jobs = int(env_jobs)
-        except ValueError:
-            raise ValueError(f"UNIMODAL_CHAINS_JOBS must be an integer, "
-                             f"got {env_jobs!r}") from None
-    if jobs < 1:
-        raise ValueError(f"verify needs at least one worker, got {jobs} "
-                         "(--jobs or UNIMODAL_CHAINS_JOBS)")
+    if args.jobs < 1:
+        raise ValueError(f"verify needs at least one worker, "
+                         f"got --jobs {args.jobs}")
     if (args.n is None) != (args.m is None):
         raise ValueError("verify takes both --n and --m, or neither for a sweep")
     if args.n is not None:
@@ -210,7 +202,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--max-size {args.max_size} and --max-dim "
                          f"{args.max_dim} select no poset")
     else:
-        reports = run_sweep(max_size=args.max_size, max_dim=args.max_dim, jobs=jobs)
+        reports = run_sweep(max_size=args.max_size, max_dim=args.max_dim,
+                            jobs=args.jobs)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:
@@ -277,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-dim", type=int, default=12,
                        help="sweep cap on each of m and n")
     p_ver.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers (UNIMODAL_CHAINS_JOBS overrides)")
+                       help="parallel workers")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.add_argument("--waive-degree-formula", action=argparse.BooleanOptionalAction,
                        default=True,

@@ -8,11 +8,12 @@ element checked for membership in its chains, and exact order matrices,
 one int bitset per row, built one column at a time and at most
 MAX_ORDER_MATRIX_ROWS rows, for the split extensions that structure
 builds.  verify_split_extension classifies each class's base poset
-itself, writes the section images by its own formula and rebuilds every
-fiber from its image.  The split-extension checks locate chain steps and
-stripped initial elements with the library's own raising and lowering
-walks (posets._raise_path and _lower_path); check_chains verifies the
-chains those walks build.  Within a scope the library is asked for each
+itself, writes the section images by its own formula and rebuilds each
+fiber from its image, through the library's coordinate map _fiber, over
+the lattice L(r, ell) it lists itself.  The split-extension checks
+locate chain steps and stripped initial elements with the library's own
+raising and lowering walks (posets._raise_path and _lower_path);
+check_chains verifies the chains those walks build.  Within a scope the library is asked for each
 element's value once, and every check of that element reads the
 answer: check_statistics records each element's spread, degree, removal
 image and signature, checks that signature against the element's class
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 
 from .posets import (
@@ -65,7 +66,7 @@ from .statistics import (
     spread,
 )
 from .structure import (
-    _fiber_by_coordinates,
+    _fiber,
     decompose_all,
     fiber_coordinates,
     first_coordinate_closed_form,
@@ -564,7 +565,9 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
             continue
         try:
             coords = {a: fiber_coordinates(a, b) for a in fiber}
-            rebuilt = _fiber_by_coordinates(sections[b], r, ell)
+            point = _fiber(sections[b], ell)
+            lattice = combinations_with_replacement(range(ell + 1), r)
+            rebuilt = {lam: point(lam) for lam in lattice}
         except (InconsistencyError, ValueError) as exc:
             checks["coordinates_bijective"].add({"base": b, "error": str(exc)})
             continue

@@ -20,7 +20,10 @@ from typing import Iterator
 Composition = tuple  # (a_0, ..., a_n), entries >= 0
 PartitionParts = tuple  # weakly increasing parts, zeros kept
 
-MAX_CELLS = 2**31  # supported box size m*n; ranks/weights stay in int64
+# box size m*n; ints are exact, so it bounds no overflow: it refuses a box
+# before comb() sizes its poset, and is meant to bound the commands that
+# answer without enumerating
+MAX_CELLS = 2**31
 # elements C(m+n, n) a poset may enumerate; its entries C(m+n, n)*(n+1)
 # are bounded by 16 * MAX_POSET_SIZE, so long elements cannot take a
 # near-limit element count past the memory it needs

@@ -3,13 +3,16 @@
 Each signature class projects onto a smaller class by maximal-pair
 removal; prepending spread-sized blocks is a section of the projection,
 and every fiber is order-isomorphic to a small Young's lattice whose
-coordinates count the covers of transversal's raising walk.  Iterating
-this picture decomposes the whole composition poset into saturated chains
-whose per-length tops are centered and unimodal, which is exactly the
-unimodality certificate.  The decomposition reads each class's section
-images, its fibers' tops, off the class, so it classifies no base poset.
-It keeps no memo; the ones it reads live in statistics, beside clear_caches().
-This module only constructs; oracle.verify_split_extension checks it.
+coordinates count the covers of transversal's raising walk.  One
+coordinate map, _fiber, walks a fiber down from its section image:
+fiber_element reads one point of it, the decomposition whole fibers.
+Iterating this picture decomposes the whole composition poset into
+saturated chains whose per-length tops are centered and unimodal, which
+is exactly the unimodality certificate.  The decomposition reads each
+class's section images, its fibers' tops, off the class, so it
+classifies no base poset.  It keeps no memo across calls; the ones it
+reads live in statistics, beside clear_caches().  This module only
+constructs; oracle.verify_split_extension checks it.
 """
 
 from __future__ import annotations
@@ -104,50 +107,46 @@ def fiber_coordinates(a: Composition, b: Composition) -> tuple[int, ...]:
 
 
 def fiber_element(lam: tuple[int, ...], b: Composition, s: int) -> Composition:
-    """Inverse of fiber_coordinates: rebuild the element from coordinates.
-
-    Starting at the section image, follow the transversal chain at the
-    leading component for lam[-1] steps, then the new element's chain
-    for lam[-2] steps, and so on down to lam[0].
-    """
-    r = len(lam)
+    """Inverse of fiber_coordinates: rebuild the element from coordinates."""
     if any(x > y for x, y in zip(lam, lam[1:])) or any(x < 0 for x in lam):
         raise ValueError(f"coordinates {lam} not weakly increasing and nonnegative")
-    x = section(tuple(b), r, s)
-    for t in reversed(lam):
-        ch = transversal_chain(x, 0)
-        if t > ch.length:
-            raise ValueError(f"coordinate {t} exceeds chain length {ch.length}")
-        x = ch.elements()[t]
+    x = _fiber(section(tuple(b), len(lam), s))(tuple(lam))
     if remove_maximal_pairs(x) != tuple(b):
         raise InconsistencyError(f"rebuilt element {x} does not project to {b}")
     return x
 
 
-def _fiber_by_coordinates(top, r, ell):
-    """The fiber below the section image top, keyed by coordinates.
+def _fiber(top, ell=None):
+    """The coordinate map of the fiber below the section image top.
 
-    Walks the coordinate tree from top; the chain from a partial element
-    is materialized once per distinct coordinate tail, so the whole
-    fiber costs about one chain step per element.
+    point(lam) follows the transversal chain at top's leading pair for
+    lam[-1] steps, then the new element's chain for lam[-2] steps, and
+    so on down to lam[0].  Each chain is walked once per map, memoized
+    under the coordinate tail lam[k+1:] that reaches it, so a whole
+    fiber costs about one chain step per element.  A chain whose length
+    is not ell (when given) is an InconsistencyError; a coordinate past
+    the end of its chain is a ValueError.
     """
-    out = {}
+    chains = {}
 
-    def walk(x, remaining, cap, tail):
-        if remaining == 0:
-            out[tail[::-1]] = x
-            return
-        ch = transversal_chain(x, 0)
-        if ch.length != ell:
-            raise InconsistencyError(
-                f"chain of length {ch.length} != {ell} inside fiber from {top}"
-            )
-        elems = ch.elements()
-        for t in range(min(cap, ch.length) + 1):
-            walk(elems[t], remaining - 1, t, tail + (t,))
+    def point(lam):
+        x = top
+        for k in reversed(range(len(lam))):
+            elems = chains.get(lam[k + 1 :])
+            if elems is None:
+                ch = transversal_chain(x, 0)
+                if ell is not None and ch.length != ell:
+                    raise InconsistencyError(
+                        f"chain of length {ch.length} != {ell} inside fiber from {top}"
+                    )
+                elems = chains[lam[k + 1 :]] = ch.elements()
+            if lam[k] >= len(elems):
+                raise ValueError(f"coordinate {lam[k]} exceeds chain length "
+                                 f"{len(elems) - 1}")
+            x = elems[lam[k]]
+        return x
 
-    walk(top, r, ell, ())
-    return out
+    return point
 
 
 @dataclass
@@ -212,9 +211,9 @@ def _class_decomposition(
             ]
         chains = []
         for top in tops:
-            rebuilt = _fiber_by_coordinates(top, r, ell)
+            point = _fiber(top, ell)
             for coords in sub_coords[r, ell]:
-                images = [rebuilt[lam] for lam in coords]
+                images = [point(lam) for lam in coords]
                 colors = []
                 for low, high in zip(images, images[1:]):
                     c = cover_color(low, high)

@@ -98,8 +98,9 @@ def test_classes_filter_not_an_integer_names_the_flag(capsys):
         ["--signature", "9,9,9"],
         ["--signature", "1,2", "--format", "json"],
         ["--signature", "(0,-1,2)"],
+        ["--signature", ""],
     ],
-    ids=["wrong-mass", "wrong-length", "negative-entry"],
+    ids=["wrong-mass", "wrong-length", "negative-entry", "empty"],
 )
 def test_classes_filter_that_never_matches_is_refused(capsys, argv):
     # L(4, 4) has signatures of n//2 + 1 = 3 entries d_j with
@@ -184,33 +185,30 @@ def test_verify_needs_both_n_and_m(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,env_jobs",
+    "argv",
     [
-        (["--max-dim", "-1"], None),
-        (["--max-size", "0"], None),
-        (["--jobs", "0"], None),
-        (["--jobs", "-3"], None),
-        (["--n", "2", "--m", "2", "--jobs", "0"], None),
-        (["--n", "2", "--m", "2"], "0"),
-        (["--jobs", "2"], "-3"),
-        (["--n", "2", "--m", "2"], "abc"),
+        ["--max-dim", "-1"],
+        ["--max-size", "0"],
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+        ["--n", "2", "--m", "2", "--jobs", "0"],
     ],
     ids=["max-dim-negative", "max-size-zero", "jobs-zero", "jobs-negative",
-         "one-pair-jobs-zero", "env-jobs-zero", "env-jobs-negative",
-         "env-jobs-not-a-number"],
+         "one-pair-jobs-zero"],
 )
-def test_verify_arguments_that_select_nothing(capsys, monkeypatch, argv, env_jobs):
+def test_verify_arguments_that_select_nothing(capsys, argv):
     # each would otherwise print nothing or run serially, and exit 0
-    if env_jobs is None:
-        monkeypatch.delenv("UNIMODAL_CHAINS_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("UNIMODAL_CHAINS_JOBS", env_jobs)
     assert main(["verify", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "usage error:" in captured.err
-    if env_jobs is not None:
-        # the message names the variable and its value
-        assert "UNIMODAL_CHAINS_JOBS" in captured.err and env_jobs in captured.err
+
+
+def test_verify_reads_its_worker_count_from_the_flag_alone(capsys, monkeypatch):
+    # the environment variable is the acceptance fixture's knob, not the CLI's
+    monkeypatch.setenv("UNIMODAL_CHAINS_JOBS", "abc")
+    assert main(["verify", "--n", "2", "--m", "2"]) == 0
+    golden = Path(__file__).parent / "data" / "verify_n2_m2.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 @pytest.mark.parametrize(

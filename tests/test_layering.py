@@ -34,12 +34,16 @@ def test_the_package_imports_only_the_standard_library():
     assert third_party == set()
 
 
-def test_a_cli_call_loads_no_numpy():
+def test_a_cli_call_loads_only_the_standard_library_and_the_package():
+    # the snapshot keeps what site preloads, e.g. a setuptools shim
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from unimodal_chains import cli\n"
         "cli.main(['signature', '[1,2,0,1,0]'])\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "foreign = loaded - set(sys.stdlib_module_names) - {'unimodal_chains'}\n"
+        "assert not foreign, f'loaded {sorted(foreign)}'\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -77,6 +77,29 @@ def test_failed_section_order_is_recorded(monkeypatch):
     assert rep.failed_names() == ["section_order_preserving"]
 
 
+def test_swapped_fiber_points_are_recorded_not_raised(monkeypatch):
+    # a coordinate map that trades the points (0,1) and (1,1) of the fiber
+    # over (1,0) of class (0,1,1) at n=5 still covers the coordinate
+    # lattice, which the oracle lists itself, so the bijection holds and
+    # both points fail the round trip
+    real = oracle._fiber
+    top = (2, 0, 2, 0, 1, 0)
+    swap = {(0, 1): (1, 1), (1, 1): (0, 1)}
+
+    def swapped(image, *args):
+        point = real(image, *args)
+        if image != top:
+            return point
+        return lambda lam: point(swap.get(lam, lam))
+
+    monkeypatch.setattr(oracle, "_fiber", swapped)
+    rep = oracle.verify_split_extension(5, (0, 1, 1))
+    assert rep.checks["coordinates_bijective"].passed
+    check = rep.checks["coordinates_mutually_inverse"]
+    assert check.failures == 2
+    assert {ce["lam"] for ce in check.counterexamples} == set(swap)
+
+
 def test_failed_fiber_order_is_recorded_row_by_row(monkeypatch):
     # two incomparable elements of the one fiber of class (0,1,0,1) at
     # n=6 (degree 2, base (1,0,1)) trade coordinates (3,3) and (1,4): the

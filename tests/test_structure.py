@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from unimodal_chains.statistics import (
     signature_classes,
 )
 from unimodal_chains.structure import (
+    _fiber,
     decompose_all,
     decompose_class,
     decomposition_from_dict,
@@ -100,6 +102,39 @@ def test_fiber_element_examples():
     assert fiber_element((3,), (0,), 2) == (0, 1, 1)
     with pytest.raises(ValueError):
         fiber_element((2, 1), (0,), 2)  # not weakly increasing
+    # the chain from the section image (2, 0, 0) has length 4
+    with pytest.raises(ValueError, match=r"^coordinate 5 exceeds chain length 4$"):
+        fiber_element((5,), (0,), 2)
+
+
+def test_fiber_map_refuses_a_chain_of_the_wrong_length():
+    with pytest.raises(InconsistencyError, match="chain of length 4 != 3"):
+        _fiber((2, 0, 0), 3)((0,))
+
+
+def test_fiber_map_hits_each_element_of_every_fiber_of_the_sweep_once():
+    # over its coordinate lattice L(r, ell), the map from each section
+    # image yields comb(r + ell, r) distinct points: the elements of the
+    # class that project to the image's base
+    from unimodal_chains.oracle import sweep_pairs
+
+    fibers = 0
+    for n, m in sweep_pairs(1000, 12):
+        for d, cls in signature_classes(n, m).items():
+            r = degree(cls[0]) if cls else 0
+            if r < 2:
+                continue
+            ell = chain_length(n, d)
+            lattice = list(combinations_with_replacement(range(ell + 1), r))
+            assert len(lattice) == comb(r + ell, r)
+            for b in signature_class(n - 2 * r, d[r:]):
+                point = _fiber(section(b, r, sum(d)), ell)
+                points = [point(lam) for lam in lattice]
+                assert len(set(points)) == len(points), (n, d, b)
+                fiber = {a for a in cls if remove_maximal_pairs(a) == b}
+                assert set(points) == fiber, (n, d, b)
+                fibers += 1
+    assert fibers == 68  # in 61 classes
 
 
 def test_fiber_bijection_small_class():
