@@ -109,23 +109,19 @@ def cmd_classes(args) -> int:
         classes = signature_classes(args.n, args.m)
     rows = []
     for d, cls in classes.items():
-        r = None
-        h = None
         flagged = False
-        if cls:
-            r = degree(cls[0])
-            try:
-                h = highest_weight(args.n, d)
-            except InconsistencyError:
-                h = min(cls, key=rank)
-                flagged = True
+        try:
+            h = highest_weight(args.n, d)
+        except InconsistencyError:
+            h = min(cls, key=rank)
+            flagged = True
         rows.append(
             {
                 "signature": _format_signature(d),
                 "size": len(cls),
-                "r": r,
+                "r": degree(cls[0]),
                 "ell": chain_length(args.n, d),
-                "highest_weight": format_composition(h) if h else None,
+                "highest_weight": format_composition(h),
                 "boundary_flagged": flagged,
             }
         )

@@ -13,15 +13,18 @@ fiber from its image, through the library's coordinate map _fiber, over
 the lattice L(r, ell) it lists itself.  The split-extension checks
 locate chain steps and stripped initial elements with the library's own
 raising and lowering walks (posets._raise_path and _lower_path);
-check_chains verifies the chains those walks build.  Within a scope the library is asked for each
-element's value once, and every check of that element reads the
-answer: check_statistics records each element's spread, degree, removal
-image and signature, checks that signature against the element's class
-(signature_classes labels whole chains from one computed signature, so
-this check takes a route the classification does not share), and
-compares the flip's recorded image with the flipped one;
+check_chains verifies the chains those walks build.  Within a scope the
+library is asked for each element's value once, and every check of that
+element reads the answer: check_statistics records each element's
+spread, degree, removal image and signature, checks that signature
+against the element's class (signature_classes labels whole chains from
+one computed signature, so this check takes a route the classification
+does not share), compares the flip's recorded image with the flipped
+one, and lists in empty_class_census each signature of its own
+enumerate_signatures call that the classification has no class for;
 verify_split_extension lists each class element's in-class upper covers
-once.  Failures are recorded with reproducible inputs, never raised.
+once.  Each check is one CheckResult; failures are recorded with
+reproducible inputs, never raised.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from itertools import accumulate, combinations_with_replacement
 from math import comb
 
 from .posets import (
-    CheckResult,
     Composition,
     InconsistencyError,
     ResourceGuardError,
@@ -57,6 +59,7 @@ from .statistics import (
     chain_length,
     clear_caches,
     degree,
+    enumerate_signatures,
     highest_weight,
     remove_maximal_pairs,
     signature,
@@ -86,6 +89,7 @@ from .transversal import (
 
 ORDER_INDEPENDENCE_CAP = 3000  # poset size up to which removal orders are explored
 MAX_ORDER_MATRIX_ROWS = 16_384  # a k-row order matrix takes about k*k/8 bytes: 32 MiB
+COUNTEREXAMPLE_CAP = 10
 
 # split-extension checks expected to hold with zero exceptions
 SPLIT_SOUND_CHECKS = (
@@ -110,6 +114,24 @@ SPLIT_DEFECT_CHECKS = ("projection_order_preserving", "stripped_cover_preserved"
 # checks reporting a known boundary defect; nonempty censuses here do not
 # flip the process exit code unless the waiver is withdrawn
 DEFAULT_WAIVED = frozenset(["degree_formula", *SPLIT_DEFECT_CHECKS])
+
+
+@dataclass
+class CheckResult:
+    """Outcome of one named check: every failure is counted, the first
+    COUNTEREXAMPLE_CAP are kept as counterexamples."""
+
+    name: str
+    passed: bool = True
+    counterexamples: list = field(default_factory=list)
+    info: dict = field(default_factory=dict)
+    failures: int = 0
+
+    def add(self, detail) -> None:
+        self.passed = False
+        self.failures += 1
+        if len(self.counterexamples) < COUNTEREXAMPLE_CAP:
+            self.counterexamples.append(detail)
 
 
 def _repro(comp) -> str:
@@ -293,14 +315,14 @@ def check_statistics(n: int, m: int) -> VerificationReport:
 
     if sum(len(cls) for cls in classes.values()) != total:
         partition_prop.add({"detail": "class sizes do not sum to poset size"})
-    empty = [d for d, cls in classes.items() if not cls]
+    empty = [d for d in enumerate_signatures(n, m) if d not in classes]
     empties.info["empty_signatures"] = [list(d) for d in empty]
     empties.info["empty_count"] = len(empty)
+    for d in empty:
+        empties.add({"signature": d})
 
     flagged_tops = []
     for d, cls in classes.items():
-        if not cls:
-            continue
         cset = set(cls)
         if any(flip(a) not in cset for a in cls):
             class_flip.add({"signature": d})
@@ -376,10 +398,7 @@ def check_chains(n: int, m: int) -> VerificationReport:
     duality = CheckResult("endpoint_duality")
     flip_dual = CheckResult("flip_duality")
 
-    classes = signature_classes(n, m)
-    for d, cls in classes.items():
-        if not cls:
-            continue
+    for d, cls in signature_classes(n, m).items():
         cset = set(cls)
         ell = chain_length(n, d)
         # element set of each chain of the class seen so far; None for a
@@ -511,8 +530,6 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
     """
     d = tuple(d)
     cls = signature_class(n, d)
-    if not cls:
-        raise ValueError(f"empty class {d} for n={n}")
     s = sum(d)
     r = degree(cls[0])
     ell = chain_length(n, d)
@@ -667,11 +684,8 @@ def check_structure(n: int, m: int) -> VerificationReport:
     if rank_generating_function(enumerate_compositions(n, m)) != gaussian(m, n):
         gen_fun.add({"detail": f"rank histogram differs from gaussian({m},{n})"})
 
-    classes = signature_classes(n, m)
     degenerate = []
-    for d, cls in classes.items():
-        if not cls:
-            continue
+    for d in signature_classes(n, m):
         rep = verify_split_extension(n, d)
         if rep.degenerate:
             degenerate.append(list(d))
@@ -722,7 +736,7 @@ def _order_matrix_rows(n, m):
     comb(r + ell, r) for each fiber of a class of degree r >= 2, and the
     base class's size for each section check."""
     for d, cls in signature_classes(n, m).items():
-        r = degree(cls[0]) if cls else 0
+        r = degree(cls[0])
         if r >= 2:
             yield comb(r + chain_length(n, d), r)
         if r >= 1:

@@ -12,7 +12,6 @@ transversal both build on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from operator import mul
 from typing import Iterator
@@ -36,27 +35,6 @@ class InconsistencyError(RuntimeError):
 
 class ResourceGuardError(RuntimeError):
     """A requested computation exceeds the configured resource bounds."""
-
-
-COUNTEREXAMPLE_CAP = 10
-
-
-@dataclass
-class CheckResult:
-    """Outcome of one named check: every failure is counted, the first
-    COUNTEREXAMPLE_CAP are kept as counterexamples."""
-
-    name: str
-    passed: bool = True
-    counterexamples: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
-    failures: int = 0
-
-    def add(self, detail) -> None:
-        self.passed = False
-        self.failures += 1
-        if len(self.counterexamples) < COUNTEREXAMPLE_CAP:
-            self.counterexamples.append(detail)
 
 
 def parse_composition(text: str) -> Composition:

@@ -175,11 +175,13 @@ def _sigs(k, m):
 def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]]:
     """Group all of the (n, m) composition poset by signature.
 
-    Classes appear in the enumerate_signatures order, listed after the
-    enumeration so that its size guards run first; empty classes are
-    kept (as empty tuples) so callers can report them.  Elements within
-    a class are in lexicographic order.  Memoized at every size, so one
-    poset is classified once until clear_caches().
+    Only the classes the walk fills are listed, so no class is empty:
+    each has its highest-weight element.  They appear in the
+    enumerate_signatures order, listed after the enumeration so that its
+    size guards run first; oracle.empty_class_census checks that no
+    enumerated signature is missing.  Elements within a class are in
+    lexicographic order.  Memoized at every size, so one poset is
+    classified once until clear_caches().
 
     The signature is constant on transversal chains, so the walk in lex
     order computes it only for an element that has no label yet, then
@@ -199,7 +201,9 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
                 del label[comp]
         label[comp] = d  # keyed by the enumerated tuple, not a walked copy
         groups.setdefault(d, []).append(comp)
-    classes = {d: tuple(groups.pop(d, ())) for d in enumerate_signatures(n, m)}
+    classes = {
+        d: tuple(groups.pop(d)) for d in enumerate_signatures(n, m) if d in groups
+    }
     for d, cs in groups.items():
         raise InconsistencyError(f"signature {d} of {cs[0]} not enumerated")
     return classes
@@ -230,6 +234,8 @@ def signature_class(n: int, d: Signature) -> tuple[Composition, ...]:
     m = signature_mass(d)
     if n >= 0 and len(d) != n // 2 + 1:
         raise ValueError(f"signature {d} has wrong length for n={n}")
+    if any(dj < 0 for dj in d):
+        raise ValueError(f"signature {d} has a negative entry")
     return signature_classes(n, m)[tuple(d)]
 
 

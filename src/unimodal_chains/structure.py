@@ -178,21 +178,21 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
     singletons.
     """
     d = tuple(d)
-    cls = signature_class(n, d)
-    return list(_class_decomposition(n, d, cls, {}).chains) if cls else []
+    return list(_class_decomposition(n, d, signature_class(n, d), {}).chains)
 
 
 def _class_decomposition(
     n: int, d: Signature, cls, sub_coords: dict
 ) -> ClassDecomposition:
-    """decompose_class of the nonempty class cls, read off cls alone.
+    """decompose_class of the class cls, read off cls alone.
 
-    Degree is constant on a signature class, so any element gives r;
-    _indexed rejects the decomposition if the classes were wrong.  The
-    fibers' tops, the section images, are the elements that begin with r
-    blocks (s, 0).  sub_coords maps (r, ell) to the coordinates of each
-    chain of the (r, ell) poset; decompose_all shares one such dict
-    among its classes, so each (r, ell) poset is decomposed once per call.
+    No class is empty, and degree is constant on a signature class, so
+    its first element gives r; _indexed rejects the decomposition if the
+    classes were wrong.  The fibers' tops, the section images, are the
+    elements that begin with r blocks (s, 0).  sub_coords maps (r, ell)
+    to the coordinates of each chain of the (r, ell) poset; decompose_all
+    shares one such dict among its classes, so each (r, ell) poset is
+    decomposed once per call.
     """
     r = degree(cls[0])
     ell = chain_length(n, d)
@@ -236,9 +236,7 @@ def decompose_all(n: int, m: int) -> Decomposition:
         raise ValueError("need n >= 0 and m >= 0")
     classes = signature_classes(n, m).items()
     sub_coords: dict = {}
-    out = tuple(
-        _class_decomposition(n, d, cls, sub_coords) for d, cls in classes if cls
-    )
+    out = tuple(_class_decomposition(n, d, cls, sub_coords) for d, cls in classes)
     return _indexed(n, m, out)
 
 

@@ -423,6 +423,21 @@ def test_check_statistics_asks_for_each_element_once(monkeypatch):
     assert Counter(images) == elements
 
 
+def test_a_missing_class_fails_the_census(monkeypatch):
+    # the census lists the signatures of its own enumeration that the
+    # classification has no class for, and fails on each
+    from unimodal_chains.statistics import signature_classes
+
+    classes = dict(signature_classes(5, 5))
+    del classes[(0, 1, 1)]
+    monkeypatch.setattr(oracle, "signature_classes", lambda n, m: classes)
+    rep = oracle.check_statistics(5, 5)
+    check = _check(rep, "empty_class_census")
+    assert check.info == {"empty_signatures": [[0, 1, 1]], "empty_count": 1}
+    assert check.counterexamples == [{"signature": (0, 1, 1)}]
+    assert "empty_class_census" in rep.failed_names()
+
+
 def test_split_extension_lists_each_elements_covers_once(monkeypatch):
     from collections import Counter
 
@@ -430,8 +445,6 @@ def test_split_extension_lists_each_elements_covers_once(monkeypatch):
 
     calls = _spy(monkeypatch, oracle, "upper_covers")
     for d, cls in signature_classes(6, 6).items():
-        if not cls:
-            continue
         calls.clear()
         rep = oracle.verify_split_extension(6, d)
         assert Counter(calls) == (Counter(cls) if rep.r else Counter())
@@ -458,7 +471,7 @@ def test_misfiled_class_element_is_named(monkeypatch):
         d: tuple(a for a in cls if a != wrong)
         for d, cls in signature_classes(4, 4).items()
     }
-    other = next(d for d, cls in classes.items() if cls and d != signature(wrong))
+    other = next(d for d in classes if d != signature(wrong))
     classes[other] += (wrong,)
     monkeypatch.setattr(oracle, "signature_classes", lambda n, m: classes)
     check = _check(oracle.check_statistics(4, 4), "classes_partition_poset")

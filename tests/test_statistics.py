@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from unimodal_chains import posets, statistics
+from unimodal_chains.oracle import sweep_pairs, verify_split_extension
 from unimodal_chains.posets import InconsistencyError, enumerate_compositions, flip
 from unimodal_chains.statistics import (
     chain_length,
@@ -19,6 +20,7 @@ from unimodal_chains.statistics import (
     signature_mass,
     spread,
 )
+from unimodal_chains.structure import decompose_class
 
 
 def small_compositions():
@@ -138,19 +140,35 @@ def test_class_examples():
     assert signature_class(4, (0, 0, 0)) == ((0, 0, 0, 0, 0),)
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 3), (5, 5), (6, 2)])
-def test_classes_partition_poset(n, m):
-    classes = signature_classes(n, m)
-    total = 0
-    seen = set()
-    for d, cls in classes.items():
-        assert signature_mass(d) == m
-        total += len(cls)
-        for a in cls:
-            assert a not in seen
-            seen.add(a)
-            assert signature(a) == d
-    assert total == posets.count_compositions(n, m)
+@pytest.mark.parametrize(
+    "pairs",
+    [[(2, 2)], [(3, 3)], [(4, 3)], [(5, 5)], [(6, 2)], sweep_pairs(1000, 12)],
+    ids=["2-2", "3-3", "4-3", "5-5", "6-2", "sweep"],
+)
+def test_classes_partition_poset(pairs):
+    for n, m in pairs:
+        classes = signature_classes(n, m)
+        # every enumerated signature has a class, and no class is empty
+        assert list(classes) == enumerate_signatures(n, m)
+        total = 0
+        seen = set()
+        for d, cls in classes.items():
+            assert signature_mass(d) == m
+            total += len(cls)
+            for a in cls:
+                assert a not in seen
+                seen.add(a)
+                assert signature(a) == d
+        assert total == posets.count_compositions(n, m)
+
+
+def test_every_signature_has_a_highest_weight_element():
+    # the class of each d holds highest_weight(n, d), so none is empty;
+    # this reaches boxes that no other test enumerates
+    for n in range(21):
+        for m in range(21):
+            for d in enumerate_signatures(n, m):
+                highest_weight(n, d)
 
 
 def test_highest_weight_examples():
@@ -162,8 +180,6 @@ def test_highest_weight_examples():
 def test_highest_weight_is_class_maximum():
     for n, m in [(3, 3), (4, 4), (5, 3)]:
         for d, cls in signature_classes(n, m).items():
-            if not cls:
-                continue
             h = highest_weight(n, d)
             best = max(weight_of(a) for a in cls)
             tops = [a for a in cls if weight_of(a) == best]
@@ -192,6 +208,12 @@ def test_degree_formula_boundary_case():
 def test_signature_class_wrong_length_rejected():
     with pytest.raises(ValueError):
         signature_class(4, (1, 0))
+
+
+def test_signature_with_a_negative_entry_is_refused():
+    for call in (signature_class, decompose_class, verify_split_extension):
+        with pytest.raises(ValueError, match=re.escape("(3, -1)")):
+            call(2, (3, -1))
 
 
 def test_empty_vector_conventions():

@@ -61,7 +61,7 @@ def test_section_lands_in_every_class_of_the_sweep():
 
     for n, m in sweep_pairs(1000, 12):
         for d, cls in signature_classes(n, m).items():
-            r = degree(cls[0]) if cls else 0
+            r = degree(cls[0])
             if r == 0:
                 continue
             cls_set = set(cls)
@@ -121,7 +121,7 @@ def test_fiber_map_hits_each_element_of_every_fiber_of_the_sweep_once():
     fibers = 0
     for n, m in sweep_pairs(1000, 12):
         for d, cls in signature_classes(n, m).items():
-            r = degree(cls[0]) if cls else 0
+            r = degree(cls[0])
             if r < 2:
                 continue
             ell = chain_length(n, d)
@@ -403,9 +403,8 @@ def test_degree_is_constant_on_every_class_of_the_sweep():
 
     for n, m in sweep_pairs(1000, 12):
         for cls in signature_classes(n, m).values():
-            if cls:
-                top = degree(min(cls, key=rank))
-                assert {degree(a) for a in cls} == {top}, (n, m, cls[0])
+            top = degree(min(cls, key=rank))
+            assert {degree(a) for a in cls} == {top}, (n, m, cls[0])
 
 
 def _from_gaps_calls(n, m):
@@ -417,7 +416,7 @@ def _from_gaps_calls(n, m):
     once = per_base = 0
     seen = set()
     for d, cls in signature_classes(n, m).items():
-        r = degree(cls[0]) if cls else 0
+        r = degree(cls[0])
         ell = chain_length(n, d)
         if r >= 2 and ell > 0:
             sub_once, sub_per_base = _from_gaps_calls(r, ell)
@@ -453,7 +452,7 @@ def test_decompose_all_decomposes_each_sub_poset_once(monkeypatch):
     pairs = [
         (degree(cls[0]), chain_length(9, d))
         for d, cls in signature_classes(9, 9).items()
-        if cls and degree(cls[0]) >= 2
+        if degree(cls[0]) >= 2
     ]
     assert pairs.count((2, 15)) == 2
     calls = []
