@@ -39,7 +39,7 @@ from .statistics import (
     signature_mass,
 )
 from .structure import decompose_all, decomposition_to_dict
-from .oracle import DEFAULT_WAIVED, SPLIT_DEFECT_CHECKS, run_pair, run_sweep, sweep_pairs
+from .oracle import run_pair, run_sweep, sweep_pairs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -52,8 +52,14 @@ def _format_signature(d) -> str:
 
 
 def _parse_signature(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, optionally inside one pair of parentheses."""
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    if not body.strip():
+        return ()
     try:
-        return tuple(int(tok) for tok in text.strip("() ").split(",") if tok.strip())
+        return tuple(int(tok) for tok in body.split(","))
     except ValueError:
         raise ValueError(f"--signature takes comma-separated integers, "
                          f"got {text!r}") from None
@@ -178,15 +184,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    waived = set(DEFAULT_WAIVED)
-    withdrawn = []  # the --no-waive-* flags, repeated in reproducing commands
-    if not args.waive_degree_formula:
-        waived.discard("degree_formula")
-        withdrawn.append("--no-waive-degree-formula")
-    if not args.waive_projection_order:
-        waived.difference_update(SPLIT_DEFECT_CHECKS)
-        withdrawn.append("--no-waive-projection-order")
-    waived = frozenset(waived)
     if args.jobs < 1:
         raise ValueError(f"verify needs at least one worker, "
                          f"got --jobs {args.jobs}")
@@ -204,16 +201,13 @@ def cmd_verify(args) -> int:
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:
         for r in reports:
-            print(r.to_text(waived))
-    ok = all(r.passed(waived) for r in reports)
+            print(r.to_text())
+    ok = all(r.passed() for r in reports)
     if not ok:
-        failing = sorted(
-            {name for r in reports for name in r.failed_names(waived)}
-        )
+        failing = sorted({name for r in reports for name in r.failed_names()})
         print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
-        for n, m in sorted({(r.n, r.m) for r in reports if not r.passed(waived)}):
-            print(f"unimodal-chains verify --n {n} --m {m}", *withdrawn,
-                  file=sys.stderr)
+        for n, m in sorted({(r.n, r.m) for r in reports if not r.passed()}):
+            print(f"unimodal-chains verify --n {n} --m {m}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -268,12 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--jobs", type=int, default=1,
                        help="parallel workers")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.add_argument("--waive-degree-formula", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="do not fail on the documented degree-formula census")
-    p_ver.add_argument("--waive-projection-order",
-                       action=argparse.BooleanOptionalAction, default=True,
-                       help="do not fail on the documented projection-order census")
     p_ver.set_defaults(func=cmd_verify)
 
     p_gau = sub.add_parser("gaussian", help="exact Gaussian binomial coefficients")

@@ -301,9 +301,6 @@ def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
             f"poset n={n} m={m} has {count} elements of {n + 1} entries, "
             f"{entries} in all, more than 16 * MAX_POSET_SIZE={16 * MAX_POSET_SIZE}"
         )
-    if n == 0:
-        yield (m,)
-        return
     a = [0] * n + [m]
     while True:
         yield tuple(a)

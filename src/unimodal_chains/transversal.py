@@ -16,7 +16,7 @@ chains with them without importing this module; they apply each pair's
 whole run of unit moves at once.  A chain is stored as its
 highest-weight element plus the color sequence read downward; the
 element list is rebuilt on demand by posets.walk_down, which takes the
-steps in one buffer.
+steps in one buffer, and the bottom alone from the color counts.
 """
 
 from __future__ import annotations
@@ -79,7 +79,20 @@ class Chain:
         return walk_down(self.top, self.colors)
 
     def bottom(self) -> Composition:
-        return self.elements()[-1]
+        """The last element, without building those above it: color c
+        moves one unit from entry c-1 to entry c, so only the color counts
+        matter; elements() still catches a color order that cannot be
+        walked."""
+        a = list(self.top)
+        for c in self.colors:
+            if not 0 < c < len(a):
+                raise ValueError(f"color {c} not applicable to {self.top}")
+            a[c - 1] -= 1
+            a[c] += 1
+        if any(e < 0 for e in a):
+            raise ValueError(f"colors {self.colors} drive an entry of "
+                             f"{self.top} negative")
+        return tuple(a)
 
     def to_dict(self) -> dict:
         return {"top": list(self.top), "colors": list(self.colors)}

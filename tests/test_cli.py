@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from unimodal_chains import cli
+from unimodal_chains import cli, oracle
 from unimodal_chains.cli import build_parser, main
 from unimodal_chains.qpoly import gaussian
 from unimodal_chains.structure import decomposition_from_dict
@@ -84,12 +84,14 @@ def test_classes_filter(capsys):
 
 
 def test_classes_filter_not_an_integer_names_the_flag(capsys):
-    assert main(["classes", "--n", "4", "--m", "4", "--signature", "abc"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "usage error: --signature takes comma-separated integers, got 'abc'\n"
-    )
+    # an empty item or an unmatched parenthesis is not an integer either
+    for text in ("abc", "1,,0", ",1,0", "1,0,", "(1,0"):
+        assert main(["classes", "--n", "2", "--m", "1", "--signature", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: --signature takes comma-separated integers, got {text!r}\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -232,16 +234,16 @@ def test_negative_n_or_m_names_the_flag(capsys, argv, flag):
     assert captured.err == f"usage error: {name} must be >= 0, got {value}\n"
 
 
-def test_verify_failure_names_reproducing_commands(capsys):
-    argv = ["verify", "--max-size", "300", "--max-dim", "5",
-            "--no-waive-projection-order"]
-    assert main(argv) == 1
+def test_verify_failure_names_reproducing_commands(capsys, monkeypatch):
+    # a closed form off by one on every element of n = 3 fails that check
+    # on each poset (3, m) of the sweep, and nothing else fails
+    real = oracle.first_coordinate_closed_form
+    monkeypatch.setattr(oracle, "first_coordinate_closed_form",
+                        lambda a: real(a) + (len(a) == 4))
+    assert main(["verify", "--max-size", "300", "--max-dim", "5"]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert lines[0].startswith("FAILED checks: ")
-    posets = [(3, 3), (3, 5), (4, 3), (4, 5), (5, 3), (5, 4), (5, 5)]
-    assert lines[1:] == [
-        f"unimodal-chains verify --n {n} --m {m} --no-waive-projection-order"
-        for n, m in posets
+    assert lines == ["FAILED checks: first_coordinate_closed_form"] + [
+        f"unimodal-chains verify --n 3 --m {m}" for m in range(6)
     ]
     assert main(lines[-1].split()[1:]) == 1
 
@@ -253,24 +255,17 @@ def test_verify_json_format(capsys):
     assert {r["scope"] for r in reports} == {"statistics", "chains", "structure"}
 
 
-@pytest.mark.parametrize(
-    "n,flag,failing",
-    [
-        ("5", "--no-waive-projection-order",
-         "projection_order_preserving, stripped_cover_preserved"),
-        ("2", "--no-waive-degree-formula", "degree_formula"),
-    ],
-    ids=["projection-order", "degree-formula"],
-)
-def test_verify_waiver_withdrawal(capsys, n, flag, failing):
-    # (5,5) carries both documented censuses and (2,2) the degree-formula
-    # one; withdrawing a waiver must flip the exit code
-    assert main(["verify", "--n", n, "--m", n]) == 0
-    capsys.readouterr()
-    assert main(["verify", "--n", n, "--m", n, flag]) == 1
-    assert capsys.readouterr().err == (
-        f"FAILED checks: {failing}\nunimodal-chains verify --n {n} --m {n} {flag}\n"
-    )
+def test_verify_has_no_waiver_switch(capsys):
+    # the documented censuses are facts, waived by the oracle alone, so
+    # the old switches are unknown arguments
+    for name in ("projection-order", "degree-formula"):
+        for flag in (f"--no-waive-{name}", f"--waive-{name}"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--n", "2", "--m", "2", flag])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_gaussian_command(capsys):
@@ -430,9 +425,11 @@ def test_no_flag_carries_over_between_calls(capsys):
     # the shared parser fills a fresh namespace from the defaults each call
     assert main(["signature", "[0,1,1,3]", "--as-partition", "--n", "3"]) == 0
     assert main(["signature", "[0,1,1,3]", "--as-partition"]) == 2
-    assert main(["verify", "--n", "5", "--m", "5", "--no-waive-projection-order"]) == 1
-    assert main(["verify", "--n", "5", "--m", "5"]) == 0
     capsys.readouterr()
+    code, out = run(capsys, "verify", "--n", "2", "--m", "2", "--format", "json")
+    assert code == 0 and out.startswith("[{")
+    code, out = run(capsys, "verify", "--n", "2", "--m", "2")
+    assert code == 0 and out.startswith("[statistics] n=2 m=2\n")
     code, out = run(capsys, "signature", "[1,0,1]", "--format", "json")
     assert code == 0 and json.loads(out)["signature"] == "(0,1)"
     code, out = run(capsys, "signature", "[1,0,1]")

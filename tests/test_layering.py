@@ -81,3 +81,25 @@ def test_statistics_reaches_no_higher_layer():
     # transversal, so statistics sits below every module that reads it
     imports = _imports(PACKAGE / "statistics.py")
     assert not imports & {".transversal", ".structure", ".oracle"}
+
+
+def test_only_the_oracle_names_the_waived_checks():
+    # the oracle alone decides which failed checks are documented facts;
+    # the CLI reads its verdict and names no check of its own
+    from unimodal_chains import oracle
+
+    checks = (*oracle.SPLIT_SOUND_CHECKS, *oracle.SPLIT_DEFECT_CHECKS,
+              "degree_formula")
+    cli_text = (PACKAGE / "cli.py").read_text()
+    assert [check for check in checks if check in cli_text] == []
+    imported = [
+        getattr(oracle, alias.name)
+        for node in ast.walk(ast.parse(cli_text))
+        if isinstance(node, ast.ImportFrom) and node.module == "oracle"
+        for alias in node.names
+    ]
+    check_sets = (oracle.SPLIT_SOUND_CHECKS, oracle.SPLIT_DEFECT_CHECKS, oracle.WAIVED)
+    assert not any(value is s for value in imported for s in check_sets)
+    naming = [p.name for p in PACKAGE.glob("*.py")
+              if any(check in p.read_text() for check in oracle.WAIVED)]
+    assert naming == ["oracle.py"]

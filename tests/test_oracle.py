@@ -48,12 +48,11 @@ def test_check_structure_passes(n, m):
 
 def test_structure_projection_census_on_5_5():
     rep = oracle.check_structure(5, 5)
-    names = {c.name: c for c in rep.checks}
-    assert not names["projection_order_preserving"].passed
-    assert not names["stripped_cover_preserved"].passed
-    # waived by default, so the report still passes overall
-    assert rep.passed()
-    assert not rep.passed(waived=frozenset())
+    # both census checks fail and are waived, so the report still passes
+    assert {c.name for c in rep.checks if not c.passed} == {
+        "projection_order_preserving", "stripped_cover_preserved"
+    }
+    assert rep.passed() and rep.failed_names() == []
 
 
 def test_failed_section_order_is_recorded(monkeypatch):
@@ -337,9 +336,10 @@ def test_unappliable_chain_color_is_recorded(monkeypatch):
     assert "chain_saturation" in rep.failed_names()
 
 
-def test_check_chains_walks_each_initial_chain_twice(monkeypatch):
-    # once for the closed-form, duality and flip checks, and once inside
-    # flip_chain, the library call under test
+def test_check_chains_walks_each_initial_chain_once_more(monkeypatch):
+    # each distinct chain is walked once, and each initial chain once more
+    # for the closed-form, duality and flip checks; flip_chain, the
+    # library call under test, reads the bottom without a walk
     from unimodal_chains.transversal import Chain
 
     n, m = 6, 6
@@ -360,7 +360,7 @@ def test_check_chains_walks_each_initial_chain_twice(monkeypatch):
     monkeypatch.setattr(Chain, "elements", spy)
     rep = oracle.check_chains(n, m)
     assert rep.failed_names() == []
-    assert len(calls) == len(distinct) + 2 * initial
+    assert len(calls) == len(distinct) + initial
     assert initial > 0
 
 

@@ -1,12 +1,15 @@
 import pytest
 
+from unimodal_chains.oracle import sweep_pairs
 from unimodal_chains.posets import cover_color, enumerate_compositions, flip, weight
 from unimodal_chains.statistics import (
     chain_length,
+    clear_caches,
     maximal_structure,
     signature,
     signature_classes,
 )
+from unimodal_chains.structure import decompose_all
 from unimodal_chains.transversal import (
     Chain,
     chains_through,
@@ -114,6 +117,25 @@ def test_chain_materialization_consistency():
     for low, high in zip(elems, elems[1:]):
         assert cover_color(low, high) is not None
         assert weight(low) - weight(high) == 2
+
+
+def test_bottom_is_the_last_element_of_every_decomposition_chain():
+    for n, m in sweep_pairs(1000, 12) + [(9, 9)]:
+        for ch in decompose_all(n, m).chains():
+            assert ch.bottom() == ch.elements()[-1]
+        clear_caches()
+
+
+def test_bottom_refuses_colors_it_cannot_apply():
+    with pytest.raises(ValueError, match="color 3 not applicable"):
+        Chain((2, 0, 0), (1, 3)).bottom()
+    with pytest.raises(ValueError, match="negative"):
+        Chain((1, 0, 0), (1, 1)).bottom()
+    # the counts fit but the order does not: only the walk catches it
+    ch = Chain((1, 0, 0), (2, 1))
+    assert ch.bottom() == (0, 0, 1)
+    with pytest.raises(ValueError, match="color 2 not applicable"):
+        ch.elements()
 
 
 def test_chain_dict_round_trip():
