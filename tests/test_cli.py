@@ -255,17 +255,24 @@ def test_verify_json_format(capsys):
     assert {r["scope"] for r in reports} == {"statistics", "chains", "structure"}
 
 
-def test_verify_has_no_waiver_switch(capsys):
-    # the documented censuses are facts, waived by the oracle alone, so
-    # the old switches are unknown arguments
-    for name in ("projection-order", "degree-formula"):
-        for flag in (f"--no-waive-{name}", f"--waive-{name}"):
-            with pytest.raises(SystemExit) as exc:
-                main(["verify", "--n", "2", "--m", "2", flag])
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f"unrecognized arguments: {flag}" in captured.err
+@pytest.mark.parametrize(
+    "n,name",
+    [("5", "projection-order"), ("2", "degree-formula")],
+    ids=["projection-order", "degree-formula"],
+)
+def test_verify_waiver_withdrawal(capsys, n, name):
+    # (5,5) carries both documented censuses and (2,2) the degree-formula
+    # one; they are facts, waived by the oracle alone, so verify passes and
+    # the old switches that withdrew the waiver are unknown arguments
+    assert main(["verify", "--n", n, "--m", n]) == 0
+    capsys.readouterr()
+    for flag in (f"--no-waive-{name}", f"--waive-{name}"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", n, "--m", n, flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_gaussian_command(capsys):
