@@ -22,6 +22,7 @@ from .posets import (
     enumerate_compositions,
     format_composition,
     parse_composition,
+    parse_integers,
     rank,
     to_counts,
     upper_covers,
@@ -59,7 +60,7 @@ def _parse_signature(text: str) -> tuple[int, ...]:
     if not body.strip():
         return ()
     try:
-        return tuple(int(tok) for tok in body.split(","))
+        return parse_integers(body)
     except ValueError:
         raise ValueError(f"--signature takes comma-separated integers, "
                          f"got {text!r}") from None

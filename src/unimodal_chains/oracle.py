@@ -17,9 +17,9 @@ check_chains verifies the chains those walks build.  Within a scope the
 library is asked for each element's value once, and every check of that
 element reads the answer: check_statistics records each element's
 spread, degree, removal image and signature, checks that signature
-against the element's class (signature_classes labels whole chains from
-one computed signature, so this check takes a route the classification
-does not share), compares the flip's recorded image with the flipped
+against the element's class (signature_classes builds each class from
+its base class's fibers and computes one signature per class, so this
+check takes a route the classification does not share), compares the flip's recorded image with the flipped
 one, and lists in empty_class_census each signature of its own
 enumerate_signatures call that the classification has no class for;
 verify_split_extension lists each class element's in-class upper covers

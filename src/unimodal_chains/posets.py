@@ -12,6 +12,7 @@ transversal both build on them.
 
 from __future__ import annotations
 
+import re
 from math import comb
 from operator import mul
 from typing import Iterator
@@ -28,6 +29,8 @@ MAX_CELLS = 2**31
 # near-limit element count past the memory it needs
 MAX_POSET_SIZE = 1_000_000
 
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
 
 class InconsistencyError(RuntimeError):
     """An internal identity that must hold by construction failed."""
@@ -35,6 +38,16 @@ class InconsistencyError(RuntimeError):
 
 class ResourceGuardError(RuntimeError):
     """A requested computation exceeds the configured resource bounds."""
+
+
+def parse_integers(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of text, each an optional "-" and ASCII
+    digits with whitespace around it; int() alone would also take "+2",
+    "1_0" and non-ASCII digits.  Anything else raises ValueError."""
+    tokens = text.split(",")
+    if not all(_INTEGER.fullmatch(tok) for tok in tokens):
+        raise ValueError(f"not comma-separated integers: {text!r}")
+    return tuple(map(int, tokens))
 
 
 def parse_composition(text: str) -> Composition:
@@ -46,7 +59,7 @@ def parse_composition(text: str) -> Composition:
     if not inner:
         return ()
     try:
-        entries = tuple(int(tok) for tok in inner.split(","))
+        entries = parse_integers(inner)
     except ValueError:
         raise ValueError(f"non-integer entry in composition {text!r}") from None
     if any(e < 0 for e in entries):
@@ -272,6 +285,25 @@ def count_compositions(n: int, m: int) -> int:
     return comb(m + n, n)
 
 
+def check_poset_size(n: int, m: int) -> None:
+    """Refuse an (n, m) poset, n, m >= 0, that is too large to list: its
+    box, its element count, or its entries in all past the limits above."""
+    if m * n > MAX_CELLS:
+        raise ResourceGuardError(f"box {m}x{n} exceeds supported size")
+    count = count_compositions(n, m)
+    if count > MAX_POSET_SIZE:
+        raise ResourceGuardError(
+            f"poset n={n} m={m} has {count} elements, "
+            f"more than MAX_POSET_SIZE={MAX_POSET_SIZE}"
+        )
+    entries = count * (n + 1)
+    if entries > 16 * MAX_POSET_SIZE:
+        raise ResourceGuardError(
+            f"poset n={n} m={m} has {count} elements of {n + 1} entries, "
+            f"{entries} in all, more than 16 * MAX_POSET_SIZE={16 * MAX_POSET_SIZE}"
+        )
+
+
 def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
     """All length-(n+1) tuples of nonnegative ints summing to m, in lex order.
 
@@ -287,20 +319,7 @@ def enumerate_compositions(n: int, m: int) -> Iterator[Composition]:
         return
     if n < -1:
         raise ValueError("n must be >= -1")
-    if m * n > MAX_CELLS:
-        raise ResourceGuardError(f"box {m}x{n} exceeds supported size")
-    count = count_compositions(n, m)
-    if count > MAX_POSET_SIZE:
-        raise ResourceGuardError(
-            f"poset n={n} m={m} has {count} elements, "
-            f"more than MAX_POSET_SIZE={MAX_POSET_SIZE}"
-        )
-    entries = count * (n + 1)
-    if entries > 16 * MAX_POSET_SIZE:
-        raise ResourceGuardError(
-            f"poset n={n} m={m} has {count} elements of {n + 1} entries, "
-            f"{entries} in all, more than 16 * MAX_POSET_SIZE={16 * MAX_POSET_SIZE}"
-        )
+    check_poset_size(n, m)
     a = [0] * n + [m]
     while True:
         yield tuple(a)

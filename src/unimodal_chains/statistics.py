@@ -5,10 +5,11 @@ a maximal pair is an adjacent pair attaining it.  Removing as many
 maximal pairs as possible drops mass and length in a controlled way,
 and iterating the removal yields the signature: a vector refining both
 statistics that is constant on saturated transversal chains.
-signature_classes relies on that invariance: it computes the signature
-of one element per chain it walks and labels the rest of the chain with
-it, checking every label.  The signature memo holds only values that
-signature() computed itself, never a chain's labels.
+signature_classes builds each class from its base class, the class of
+the removal images, instead of classifying element by element: the
+signature is computed only for each class's highest-weight element, and
+every other element is a point of a fiber below a section image, walked
+with the raising and lowering walks of posets.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .posets import (
     InconsistencyError,
     _lower_path,
     _raise_path,
+    check_poset_size,
+    count_compositions,
     enumerate_compositions,
     walk_down,
 )
@@ -175,51 +178,86 @@ def _sigs(k, m):
 def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]]:
     """Group all of the (n, m) composition poset by signature.
 
-    Only the classes the walk fills are listed, so no class is empty:
-    each has its highest-weight element.  They appear in the
-    enumerate_signatures order, listed after the enumeration so that its
-    size guards run first; oracle.empty_class_census checks that no
-    enumerated signature is missing.  Elements within a class are in
-    lexicographic order.  Memoized at every size, so one poset is
-    classified once until clear_caches().
+    Only the classes the construction fills are listed, so no class is
+    empty: each has its highest-weight element.  They appear in the
+    enumerate_signatures order, listed after the size guards have run;
+    oracle.empty_class_census checks that no enumerated signature is
+    missing.  Elements within a class are in lexicographic order.
+    Memoized at every size, so one poset is classified once until
+    clear_caches(); the base posets a classification reads stay memoized
+    with it.
 
-    The signature is constant on transversal chains, so the walk in lex
-    order computes it only for an element that has no label yet, then
-    labels every element of that element's chain at its leftmost maximal
-    pair.  An element two walks label differently, or a signature not
-    enumerated, raises InconsistencyError.  The labels stay local: the
-    signature memo gains only the walk starts and their removal images.
+    A poset with n <= 1 or m == 0 is one class and is enumerated.  Any
+    other class (n, d) is built from its base class: with h its
+    highest-weight element, r = degree(h) and s = sum(d), the class is
+    the union over the elements b of the base class (n - 2r, d[r:]) of
+    the fibers below the section images (s, 0) * r + b, each a copy of
+    L(r, chain_length(n, d)).  A base class that is missing, or classes
+    that do not partition the count_compositions(n, m) elements, raise
+    InconsistencyError; so does a fiber walk that fails _fiber_points'
+    checks.
     """
-    groups: dict = {}
-    label: dict = {}
-    for comp in enumerate_compositions(n, m):
-        d = label.pop(comp, None)
-        if d is None:
-            d = signature(comp)
-            if n >= 1:
-                _label_chain(comp, d, label)
-                del label[comp]
-        label[comp] = d  # keyed by the enumerated tuple, not a walked copy
-        groups.setdefault(d, []).append(comp)
-    classes = {
-        d: tuple(groups.pop(d)) for d in enumerate_signatures(n, m) if d in groups
-    }
-    for d, cs in groups.items():
-        raise InconsistencyError(f"signature {d} of {cs[0]} not enumerated")
+    if n <= 1 or m <= 0:
+        elements = tuple(enumerate_compositions(n, m))
+        return {signature(elements[0]): elements}
+    check_poset_size(n, m)
+    classes = {}
+    for d in enumerate_signatures(n, m):
+        r = degree(highest_weight(n, d))
+        s = sum(d)
+        base = signature_classes(n - 2 * r, m - r * s).get(d[r:])
+        if base is None:
+            raise InconsistencyError(
+                f"class {d} of n={n}: base class {d[r:]} of "
+                f"n={n - 2 * r}, m={m - r * s} missing"
+            )
+        ell = chain_length(n, d)
+        head = (s, 0) * r
+        points = []
+        for b in base:
+            points += _fiber_points(head + b, r, ell)
+        points.sort()
+        classes[d] = tuple(points)
+    total = count_compositions(n, m)
+    if (sum(map(len, classes.values())) != total
+            or len(set().union(*classes.values())) != total):
+        raise InconsistencyError(
+            f"classes of n={n}, m={m} do not partition its {total} elements"
+        )
     return classes
 
 
-def _label_chain(start, d, label):
-    """Label with d every element of start's transversal chain at its
-    leftmost maximal pair, refusing an element labelled otherwise."""
-    i = _components(start)[1][0][0]
-    top, up = _raise_path(start, i)
-    for e in walk_down(top, up + _lower_path(start, i)):
-        if label.setdefault(e, d) != d:
+def _fiber_points(top, r, ell):
+    """Every point of the fiber below the section image top, unordered.
+
+    The points are structure._fiber's images of the weakly increasing
+    coordinates lam in [0, ell]^r.  The chain at top's leading pair holds
+    the points for lam[-1] = 0..ell; from the point for lam[k] = j, the
+    chain at its leading pair holds those for lam[k-1] = 0..j, so only
+    its first j + 1 elements are built.  A walked chain whose leading
+    pair is not maximal, or whose length is not ell, raises
+    InconsistencyError.
+    """
+    points = []
+    todo = [(top, r, ell)]
+    while todo:
+        x, level, j = todo.pop()
+        if x[0] + x[1] != spread(x):
             raise InconsistencyError(
-                f"chain from {start} in class {d} reaches {e}, "
-                f"labelled {label[e]}"
+                f"leading pair of {x} is not maximal inside the fiber from {top}"
             )
+        chain_top, up = _raise_path(x, 0)
+        colors = up + _lower_path(x, 0)
+        if len(colors) != ell:
+            raise InconsistencyError(
+                f"chain of length {len(colors)} != {ell} inside fiber from {top}"
+            )
+        elems = walk_down(chain_top, colors[:j])
+        if level == 1:
+            points += elems
+        else:
+            todo += [(e, level - 1, i) for i, e in enumerate(elems)]
+    return points
 
 
 def clear_caches() -> None:

@@ -10,8 +10,9 @@ Iterating this picture decomposes the whole composition poset into
 saturated chains whose per-length tops are centered and unimodal, which
 is exactly the unimodality certificate.  The decomposition reads each
 class's section images, its fibers' tops, off the class, so it
-classifies no base poset.  It keeps no memo across calls; the ones it
-reads live in statistics, beside clear_caches().  This module only
+classifies only the posets it decomposes (statistics.signature_classes
+classifies their base posets with them).  It keeps no memo across
+calls; the ones it reads live in statistics, beside clear_caches().  This module only
 constructs; oracle.verify_split_extension checks it.
 """
 

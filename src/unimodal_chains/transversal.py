@@ -11,8 +11,8 @@ equality, and at j = n the walk drains a_{n-1} into a_n, ending at a
 terminal element.  Every step keeps the spread, degree and signature,
 so each walk stays inside one signature class.  The walks themselves,
 posets._raise_path and posets._lower_path, live beside posets.walk_down
-and read no statistic, so statistics.signature_classes can label whole
-chains with them without importing this module; they apply each pair's
+and read no statistic, so statistics.signature_classes can walk whole
+fibers with them without importing this module; they apply each pair's
 whole run of unit moves at once.  A chain is stored as its
 highest-weight element plus the color sequence read downward; the
 element list is rebuilt on demand by posets.walk_down, which takes the

@@ -60,6 +60,14 @@ def test_signature_non_integer_entry_quotes_the_composition(capsys):
     assert captured.err == "usage error: non-integer entry in composition '[1,x]'\n"
 
 
+@pytest.mark.parametrize("text", ["[1_0,+2, \uff13]", "[1,0_1]", "[+1]"])
+def test_signature_refuses_python_integer_literals(capsys, text):
+    assert main(["signature", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: non-integer entry in composition {text!r}\n"
+
+
 def test_classes_command(capsys):
     code, out = run(capsys, "classes", "--n", "2", "--m", "2", "--format", "json")
     rows = json.loads(out)
@@ -92,6 +100,17 @@ def test_classes_filter_not_an_integer_names_the_flag(capsys):
         assert captured.err == (
             f"usage error: --signature takes comma-separated integers, got {text!r}\n"
         )
+
+
+@pytest.mark.parametrize("text", ["0_1,0", "+1,0", "(\uff11,0)", " 1 ,0x0"])
+def test_classes_filter_refuses_python_integer_literals(capsys, text):
+    # int() reads each of the first three as the class (1,0) of L(1, 2)
+    assert main(["classes", "--n", "2", "--m", "1", "--signature", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage error: --signature takes comma-separated integers, got {text!r}\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -207,14 +207,16 @@ def test_run_pair_classifies_the_poset_once(monkeypatch):
     from unimodal_chains import statistics, structure
 
     statistics.clear_caches()
-    real = statistics.enumerate_compositions
+    real = statistics.check_poset_size
     calls = []
 
     def spy(n, m):
         calls.append((n, m))
         return real(n, m)
 
-    monkeypatch.setattr(statistics, "enumerate_compositions", spy)
+    # each classification checks its poset's size once, before listing
+    # its signatures
+    monkeypatch.setattr(statistics, "check_poset_size", spy)
     oracle.run_pair(7, 7)
     assert calls.count((7, 7)) == 1
     # run_pair emptied every memo that statistics and structure define
@@ -511,3 +513,30 @@ def test_run_pair_refuses_oversized_order_matrices_before_any_scope(monkeypatch)
     monkeypatch.setattr(oracle, "MAX_ORDER_MATRIX_ROWS", largest)
     assert [r.to_dict() for r in oracle.run_pair(n, m)] == admitted
     assert scopes == [n]
+
+
+def test_oracle_names_elements_whose_fibers_swapped_classes(monkeypatch):
+    # the fiber walk files each of two (5, 5) elements in the other's
+    # class: sizes, union and disjointness still hold, so classification
+    # passes its own checks, and only each element's own signature shows
+    # the swap
+    from unimodal_chains import statistics
+    from unimodal_chains.statistics import signature
+
+    a, b = (0, 0, 0, 0, 0, 5), (1, 0, 1, 0, 1, 2)
+    assert signature(a) != signature(b)
+    swap = {a: b, b: a}
+    real = statistics._fiber_points
+    monkeypatch.setattr(
+        statistics, "_fiber_points",
+        lambda top, r, ell: [swap.get(p, p) for p in real(top, r, ell)],
+    )
+    statistics.clear_caches()
+    classes = statistics.signature_classes(5, 5)
+    assert a in classes[signature(b)] and b in classes[signature(a)]
+    check = _check(oracle.check_statistics(5, 5), "classes_partition_poset")
+    statistics.clear_caches()
+    assert check.failures == 2
+    assert sorted(
+        (ce["element"], ce["signature"], ce["class"]) for ce in check.counterexamples
+    ) == [(a, signature(a), signature(b)), (b, signature(b), signature(a))]

@@ -28,6 +28,21 @@ def test_parse_format_round_trip():
         posets.parse_composition("[1,-2]")
 
 
+@pytest.mark.parametrize("text", ["[1_0,2]", "[+2,0]", "[\uff13]", "[1.0]", "[0x1]", "[- 1]"])
+def test_parse_composition_takes_only_plain_integers(text):
+    # int() would take the first three; an entry is an optional "-" and
+    # ASCII digits
+    with pytest.raises(ValueError, match="non-integer entry in composition"):
+        posets.parse_composition(text)
+
+
+def test_parse_composition_keeps_whitespace_and_negative_entries_apart():
+    assert posets.parse_composition(" [ 1 , 0,2 ] ") == (1, 0, 2)
+    assert posets.parse_integers(" -3,\t4 ") == (-3, 4)
+    with pytest.raises(ValueError, match="negative entry in composition"):
+        posets.parse_composition("[1, -2]")
+
+
 def test_to_counts_examples():
     assert posets.to_counts((0, 1, 1, 3), 3) == (1, 2, 0, 1)
     assert posets.to_counts((), 2) == (0, 0, 0)

@@ -318,9 +318,9 @@ def test_signature_scans_each_step_once(monkeypatch):
 
 
 def test_classes_match_each_elements_own_signature():
-    # signature_classes computes one signature per walked chain and labels
-    # the rest of the chain with it; grouping by a fresh signature of every
-    # element must give the same classes
+    # signature_classes builds each class from its base class's fibers;
+    # grouping by a fresh signature of every element must give the same
+    # classes
     from unimodal_chains import oracle
 
     for n, m in oracle.sweep_pairs(1000, 12) + [(9, 9), (12, 7)]:
@@ -334,71 +334,115 @@ def test_classes_match_each_elements_own_signature():
     statistics.clear_caches()
 
 
-def test_signature_classes_computes_one_signature_per_walk_start(monkeypatch):
+def test_signature_classes_computes_signatures_only_of_highest_weight_elements(
+    monkeypatch,
+):
     # the full-length elements whose signature is computed (a signature
-    # miss removes their maximal pairs) are exactly the walk starts, and
-    # each is the lex-first element that no earlier chain labelled
-    from unimodal_chains.transversal import transversal_chain
-
+    # miss removes their maximal pairs) are each class's highest-weight
+    # element, which gives the class's degree; every other element is a
+    # fiber point built from its base class
     n, m = 6, 6
-    real_remove, real_raise = statistics._remove_runs, statistics._raise_path
-    computed, walked = [], []
+    real_remove = statistics._remove_runs
+    computed = []
 
     def remove_spy(comp, runs):
         if len(comp) == n + 1:
             computed.append(comp)
         return real_remove(comp, runs)
 
-    def raise_spy(comp, i):
-        walked.append(comp)
-        return real_raise(comp, i)
-
     statistics.clear_caches()
     monkeypatch.setattr(statistics, "_remove_runs", remove_spy)
-    monkeypatch.setattr(statistics, "_raise_path", raise_spy)
-    signature_classes(n, m)
-    labelled, starts = set(), []
-    for comp in enumerate_compositions(n, m):
-        if comp not in labelled:
-            starts.append(comp)
-            i = maximal_structure(comp).components[0][0]
-            labelled.update(transversal_chain(comp, i).elements())
-    assert computed == walked == starts
-    assert len(labelled) == 924 and len(starts) == 76
+    classes = signature_classes(n, m)
+    found = list(computed)
+    listed = enumerate_signatures(n, m)
+    assert found == [highest_weight(n, d) for d in listed]
+    assert len(found) == len(classes) == 9
+    assert sum(map(len, classes.values())) == 924
     statistics.clear_caches()
 
 
 def test_a_walk_that_leaves_its_class_is_refused(monkeypatch):
-    # every walk also claims the lex-first element; the first walk from
-    # another class finds it labelled otherwise
-    n, m = 4, 4
-    first = (0,) * n + (m,)
-    real = statistics.walk_down
-    monkeypatch.setattr(
-        statistics, "walk_down", lambda top, colors: real(top, colors) + [first]
-    )
+    # a lowering walk one step too long gives a chain longer than the
+    # class's transversal length: no fiber point is taken from it
+    real = statistics._lower_path
+    monkeypatch.setattr(statistics, "_lower_path", lambda comp, i: real(comp, i) + [1])
     statistics.clear_caches()
     with pytest.raises(InconsistencyError) as err:
-        signature_classes(n, m)
+        signature_classes(4, 4)
     statistics.clear_caches()
     found = re.fullmatch(
-        r"chain from (\(.*\)) in class (\(.*\)) reaches (\(.*\)), labelled (\(.*\))",
-        str(err.value),
+        r"chain of length (\d+) != (\d+) inside fiber from (\(.*\))", str(err.value)
     )
-    start, d, element, label = map(ast.literal_eval, found.groups())
-    assert element == first and label == signature(first)
-    assert signature(start) == d != label
+    length, ell, top = int(found[1]), int(found[2]), ast.literal_eval(found[3])
+    assert length == ell + 1
+    assert ell == chain_length(len(top) - 1, signature(top))
 
 
-def test_a_signature_outside_the_list_is_refused(monkeypatch):
-    # the signatures are listed after the enumeration; an element whose
-    # signature the list lacks still raises
+def test_a_fiber_chain_off_a_maximal_pair_is_refused(monkeypatch):
+    # (2, 0, 2, 0, 0) tops the fiber of class (0, 2, 0) of (4, 4): degree
+    # 2 and transversal length 4, so 15 points on chains of two levels
+    top = (2, 0, 2, 0, 0)
+    assert len(set(statistics._fiber_points(top, 2, 4))) == 15
+    with pytest.raises(InconsistencyError, match=r"leading pair of \(0, 1, 2\)"):
+        statistics._fiber_points((0, 1, 2), 1, 1)
+    # a walk whose elements lose their leading maximal pair cannot top
+    # the next level
+    real = statistics.walk_down
+    monkeypatch.setattr(
+        statistics, "walk_down",
+        lambda start, colors: [(0,) + e[1:-1] + (e[0] + e[-1],)
+                               for e in real(start, colors)],
+    )
+    message = r"leading pair of \(0, .*\) is not maximal inside the fiber from"
+    with pytest.raises(InconsistencyError, match=message + re.escape(f" {top}")):
+        statistics._fiber_points(top, 2, 4)
+
+
+@pytest.mark.parametrize("fault", ["dropped", "duplicated", "replaced"])
+def test_a_lost_or_repeated_fiber_point_fails_the_coverage_check(monkeypatch, fault):
+    # one fiber of (4, 4) loses a point, repeats one, or repeats one in
+    # place of another; the last keeps the total at 70 but not the union
+    real = statistics._fiber_points
+    faulty = []
+
+    def spy(top, r, ell):
+        points = real(top, r, ell)
+        if len(top) == 5 and len(points) >= 2 and not faulty:
+            faulty.append(top)
+            if fault == "dropped":
+                del points[1]
+            elif fault == "duplicated":
+                points.append(points[0])
+            else:
+                points[1] = points[0]
+        return points
+
     statistics.clear_caches()
-    listed = enumerate_signatures(4, 4)
-    monkeypatch.setattr(statistics, "enumerate_signatures", lambda n, m: listed[1:])
-    missing = re.escape(f"signature {listed[0]} of (0, 0, 0, 0, 4) not enumerated")
-    with pytest.raises(InconsistencyError, match=missing):
+    monkeypatch.setattr(statistics, "_fiber_points", spy)
+    message = "classes of n=4, m=4 do not partition its 70 elements"
+    with pytest.raises(InconsistencyError, match=message):
         signature_classes(4, 4)
+    assert faulty
     monkeypatch.undo()
-    assert list(signature_classes(4, 4)) == listed
+    statistics.clear_caches()
+    assert sum(map(len, signature_classes(4, 4).values())) == 70
+    statistics.clear_caches()
+
+
+def test_a_missing_base_class_is_refused(monkeypatch):
+    # (4, 4) reads its base classes from the (2, m) and (0, m) posets; a
+    # base poset that lacks a class cannot lift it
+    real = statistics.signature_classes
+
+    def without_first(n, m):
+        classes = dict(real(n, m))
+        if n < 4:
+            classes.pop(next(iter(classes)))
+        return classes
+
+    statistics.clear_caches()
+    monkeypatch.setattr(statistics, "signature_classes", without_first)
+    with pytest.raises(InconsistencyError, match=r"base class .* missing"):
+        real(4, 4)
+    monkeypatch.undo()
     statistics.clear_caches()

@@ -468,14 +468,56 @@ def test_decompose_all_decomposes_each_sub_poset_once(monkeypatch):
     assert set(pairs) <= set(calls)
 
 
-@pytest.mark.parametrize("n, m, memos", [(9, 9, 6), (12, 7, 5)])
-def test_decompose_all_classifies_no_base_poset(n, m, memos):
-    # the poset itself and its (r, ell) sub-posets, whose chains are
-    # transported; each class's fibers are read off the class
-    from unimodal_chains import statistics
+@pytest.mark.parametrize("n, m, own, memos", [(9, 9, 18, 46), (12, 7, 17, 42)])
+def test_decompose_all_classifies_only_the_posets_it_decomposes(
+    monkeypatch, n, m, own, memos
+):
+    # classifying a poset memoizes it with its base posets; decompose_all
+    # adds the (r, ell) sub-posets whose chains it transports, each with
+    # its own base posets, and nothing else
+    from unimodal_chains import statistics, structure
 
+    decomposed = []
+    real = structure.decompose_all
+
+    def spy(n, m):
+        decomposed.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(structure, "decompose_all", spy)
     statistics.clear_caches()
     signature_classes(n, m)
-    decompose_all(n, m)
+    assert statistics.signature_classes.cache_info().currsize == own
+    spy(n, m)
     assert statistics.signature_classes.cache_info().currsize == memos
+    statistics.clear_caches()
+    for pair in decomposed:
+        signature_classes(*pair)
+    assert statistics.signature_classes.cache_info().currsize == memos
+    statistics.clear_caches()
+
+
+def test_fiber_points_are_the_coordinate_maps_images():
+    # statistics walks each fiber whole; its points are _fiber's images of
+    # the weakly increasing coordinates in [0, ell]^r, one each
+    from unimodal_chains import statistics
+    from unimodal_chains.oracle import sweep_pairs
+    from unimodal_chains.statistics import highest_weight
+
+    fibers = 0
+    for n, m in sweep_pairs(1000, 12):
+        if n < 2 or m == 0 or count_compositions(n, m) > 5000:
+            continue
+        for d, cls in signature_classes(n, m).items():
+            r = degree(highest_weight(n, d))
+            ell = chain_length(n, d)
+            head = (sum(d), 0) * r
+            for top in (a for a in cls if a[: 2 * r] == head):
+                point = _fiber(top, ell)
+                images = [point(lam) for lam in combinations_with_replacement(
+                    range(ell + 1), r)]
+                assert sorted(statistics._fiber_points(top, r, ell)) == sorted(images)
+                assert len(set(images)) == comb(r + ell, r)
+                fibers += 1
+    assert fibers == 689
     statistics.clear_caches()
