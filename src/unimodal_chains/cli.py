@@ -114,34 +114,29 @@ def cmd_classes(args) -> int:
         classes = {wanted: signature_classes(args.n, args.m)[wanted]}
     else:
         classes = signature_classes(args.n, args.m)
-    rows = []
-    for d, cls in classes.items():
-        flagged = False
-        try:
-            h = highest_weight(args.n, d)
-        except InconsistencyError:
-            h = min(cls, key=rank)
-            flagged = True
-        rows.append(
-            {
-                "signature": _format_signature(d),
-                "size": len(cls),
-                "r": degree(cls[0]),
-                "ell": chain_length(args.n, d),
-                "highest_weight": format_composition(h),
-                "boundary_flagged": flagged,
-            }
-        )
+    # signature_classes has called highest_weight, which raises on a
+    # signature it does not fit, on every class it built from a base
+    # class; "boundary_flagged" stays, always false, so the JSON keeps its keys
+    rows = [
+        {
+            "signature": _format_signature(d),
+            "size": len(cls),
+            "r": degree(cls[0]),
+            "ell": chain_length(args.n, d),
+            "highest_weight": format_composition(highest_weight(args.n, d)),
+            "boundary_flagged": False,
+        }
+        for d, cls in classes.items()
+    ]
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     else:
         print(f"signature classes of n={args.n}, m={args.m} "
               f"({count_compositions(args.n, args.m)} elements)")
         for row in rows:
-            flag = "  [boundary]" if row["boundary_flagged"] else ""
             print(
                 f"  {row['signature']:>14}  size={row['size']:<7} r={row['r']}"
-                f"  ell={row['ell']:<4} top={row['highest_weight']}{flag}"
+                f"  ell={row['ell']:<4} top={row['highest_weight']}"
             )
     return EXIT_OK
 

@@ -9,10 +9,11 @@ one int bitset per row, built one column at a time and at most
 MAX_ORDER_MATRIX_ROWS rows, for the split extensions that structure
 builds.  verify_split_extension classifies each class's base poset
 itself, writes the section images by its own formula and rebuilds each
-fiber from its image, through the library's coordinate map _fiber, over
-the lattice L(r, ell) it lists itself.  The split-extension checks
-locate chain steps and stripped initial elements with the library's own
-raising and lowering walks (posets._raise_path and _lower_path);
+fiber from its image with its own coordinate map, _fiber_images, one
+transversal chain per coordinate tail, over the lattice L(r, ell) it
+lists itself.  The split-extension checks locate chain steps and
+stripped initial elements with the library's own raising and lowering
+walks (posets._raise_path and _lower_path);
 check_chains verifies the chains those walks build.  Within a scope the
 library is asked for each element's value once, and every check of that
 element reads the answer: check_statistics records each element's
@@ -69,7 +70,6 @@ from .statistics import (
     spread,
 )
 from .structure import (
-    _fiber,
     decompose_all,
     fiber_coordinates,
     first_coordinate_closed_form,
@@ -583,9 +583,7 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
             continue
         try:
             coords = {a: fiber_coordinates(a, b) for a in fiber}
-            point = _fiber(sections[b], ell)
-            lattice = combinations_with_replacement(range(ell + 1), r)
-            rebuilt = {lam: point(lam) for lam in lattice}
+            rebuilt = _fiber_images(sections[b], r, ell)
         except (InconsistencyError, ValueError) as exc:
             checks["coordinates_bijective"].add({"base": b, "error": str(exc)})
             continue
@@ -655,6 +653,28 @@ def verify_split_extension(n: int, d: Signature) -> SplitExtensionReport:
                             {"lower": a, "upper": up, "stripped": (qq, pp)}
                         )
     return report
+
+
+def _fiber_images(top: Composition, r: int, ell: int) -> dict:
+    """The point below the section image top at each lam of L(r, ell),
+    listed by combinations_with_replacement.  Level by level from lam[-1],
+    the point at lam[k:] is element lam[k] of the transversal chain at the
+    leading pair of the point at lam[k + 1:]; a chain whose length is not
+    ell raises InconsistencyError."""
+    lattice = list(combinations_with_replacement(range(ell + 1), r))
+    images = {(): top}
+    for k in reversed(range(r)):
+        chains = {}
+        for lam in lattice:
+            tail = lam[k + 1 :]
+            if tail not in chains:
+                ch = transversal_chain(images[tail], 0)
+                if ch.length != ell:
+                    raise InconsistencyError(
+                        f"chain of length {ch.length} != {ell} inside fiber from {top}")
+                chains[tail] = ch.elements()
+            images[lam[k:]] = chains[tail][lam[k]]
+    return {lam: images[lam] for lam in lattice}
 
 
 def _chain_successors(a: Composition) -> set[Composition]:

@@ -9,7 +9,8 @@ signature_classes builds each class from its base class, the class of
 the removal images, instead of classifying element by element: the
 signature is computed only for each class's highest-weight element, and
 every other element is a point of a fiber below a section image, walked
-with the raising and lowering walks of posets.
+with the raising and lowering walks of posets in the coordinate order
+that structure's decomposition reads.
 """
 
 from __future__ import annotations
@@ -228,15 +229,16 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
 
 
 def _fiber_points(top, r, ell):
-    """Every point of the fiber below the section image top, unordered.
+    """Every point of the fiber below the section image top, in colex order
+    of its coordinates lam, the weakly increasing vectors in [0, ell]^r.
 
-    The points are structure._fiber's images of the weakly increasing
-    coordinates lam in [0, ell]^r.  The chain at top's leading pair holds
-    the points for lam[-1] = 0..ell; from the point for lam[k] = j, the
-    chain at its leading pair holds those for lam[k-1] = 0..j, so only
-    its first j + 1 elements are built.  A walked chain whose leading
-    pair is not maximal, or whose length is not ell, raises
-    InconsistencyError.
+    lam[-1] varies slowest, and the point at lam is structure.fiber_element
+    of lam.  The chain at top's leading pair holds the points for lam[-1] =
+    0..ell; from the point for lam[k] = j, the chain at its leading pair
+    holds those for lam[k-1] = 0..j, so only its first j + 1 elements are
+    built, and they are pushed in reverse to be walked in order.  A walked
+    chain whose leading pair is not maximal, or whose length is not ell,
+    raises InconsistencyError.
     """
     points = []
     todo = [(top, r, ell)]
@@ -256,7 +258,7 @@ def _fiber_points(top, r, ell):
         if level == 1:
             points += elems
         else:
-            todo += [(e, level - 1, i) for i, e in enumerate(elems)]
+            todo += reversed([(e, level - 1, i) for i, e in enumerate(elems)])
     return points
 
 

@@ -3,22 +3,23 @@
 Each signature class projects onto a smaller class by maximal-pair
 removal; prepending spread-sized blocks is a section of the projection,
 and every fiber is order-isomorphic to a small Young's lattice whose
-coordinates count the covers of transversal's raising walk.  One
-coordinate map, _fiber, walks a fiber down from its section image:
-fiber_element reads one point of it, the decomposition whole fibers.
+coordinates count the covers of transversal's raising walk.
+fiber_element walks one point of a fiber down from its section image.
 Iterating this picture decomposes the whole composition poset into
 saturated chains whose per-length tops are centered and unimodal, which
-is exactly the unimodality certificate.  The decomposition reads each
-class's section images, its fibers' tops, off the class, so it
-classifies only the posets it decomposes (statistics.signature_classes
-classifies their base posets with them).  It keeps no memo across
-calls; the ones it reads live in statistics, beside clear_caches().  This module only
-constructs; oracle.verify_split_extension checks it.
+is exactly the unimodality certificate.  The decomposition writes each
+class's section images, its fibers' tops, from the base class that
+statistics.signature_classes memoized with the class, and reads each
+fiber from statistics._fiber_points, the walk that built the class.  It
+keeps no memo across calls; the ones it reads live in statistics,
+beside clear_caches().  This module only constructs;
+oracle.verify_split_extension checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .posets import (
     Composition,
@@ -34,6 +35,7 @@ from .qpoly import gaussian, is_unimodal
 from .statistics import (
     Signature,
     _components,
+    _fiber_points,
     _remove_runs,
     _runs_degree,
     chain_length,
@@ -108,46 +110,20 @@ def fiber_coordinates(a: Composition, b: Composition) -> tuple[int, ...]:
 
 
 def fiber_element(lam: tuple[int, ...], b: Composition, s: int) -> Composition:
-    """Inverse of fiber_coordinates: rebuild the element from coordinates."""
+    """Inverse of fiber_coordinates: from the section image, take lam[-1]
+    steps down the transversal chain at its leading pair, then lam[-2]
+    down the next element's chain, and so on to lam[0]."""
     if any(x > y for x, y in zip(lam, lam[1:])) or any(x < 0 for x in lam):
         raise ValueError(f"coordinates {lam} not weakly increasing and nonnegative")
-    x = _fiber(section(tuple(b), len(lam), s))(tuple(lam))
+    x = section(tuple(b), len(lam), s)
+    for steps in reversed(lam):
+        ch = transversal_chain(x, 0)
+        if steps > ch.length:
+            raise ValueError(f"coordinate {steps} exceeds chain length {ch.length}")
+        x = Chain(ch.top, ch.colors[:steps]).bottom()
     if remove_maximal_pairs(x) != tuple(b):
         raise InconsistencyError(f"rebuilt element {x} does not project to {b}")
     return x
-
-
-def _fiber(top, ell=None):
-    """The coordinate map of the fiber below the section image top.
-
-    point(lam) follows the transversal chain at top's leading pair for
-    lam[-1] steps, then the new element's chain for lam[-2] steps, and
-    so on down to lam[0].  Each chain is walked once per map, memoized
-    under the coordinate tail lam[k+1:] that reaches it, so a whole
-    fiber costs about one chain step per element.  A chain whose length
-    is not ell (when given) is an InconsistencyError; a coordinate past
-    the end of its chain is a ValueError.
-    """
-    chains = {}
-
-    def point(lam):
-        x = top
-        for k in reversed(range(len(lam))):
-            elems = chains.get(lam[k + 1 :])
-            if elems is None:
-                ch = transversal_chain(x, 0)
-                if ell is not None and ch.length != ell:
-                    raise InconsistencyError(
-                        f"chain of length {ch.length} != {ell} inside fiber from {top}"
-                    )
-                elems = chains[lam[k + 1 :]] = ch.elements()
-            if lam[k] >= len(elems):
-                raise ValueError(f"coordinate {lam[k]} exceeds chain length "
-                                 f"{len(elems) - 1}")
-            x = elems[lam[k]]
-        return x
-
-    return point
 
 
 @dataclass
@@ -183,47 +159,47 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
 
 
 def _class_decomposition(
-    n: int, d: Signature, cls, sub_coords: dict
+    n: int, d: Signature, cls, sub_chains: dict
 ) -> ClassDecomposition:
-    """decompose_class of the class cls, read off cls alone.
+    """decompose_class of the class cls, built from its base class.
 
     No class is empty, and degree is constant on a signature class, so
     its first element gives r; _indexed rejects the decomposition if the
-    classes were wrong.  The fibers' tops, the section images, are the
-    elements that begin with r blocks (s, 0).  sub_coords maps (r, ell)
-    to the coordinates of each chain of the (r, ell) poset; decompose_all
-    shares one such dict among its classes, so each (r, ell) poset is
-    decomposed once per call.
+    classes were wrong.  A class of transversal length 0 is its own
+    one-point chains.  Any other class is not read: its fibers' tops are
+    (s, 0) * r + b over the base class (n - 2r, d[r:]), memoized with cls
+    (for n == 1, the one element () of the (-1, 0) poset).  sub_chains
+    maps (r, ell) to each (r, ell) chain's positions in _fiber_points'
+    order; decompose_all shares it among its classes, so each (r, ell)
+    poset is decomposed once per call.
     """
     r = degree(cls[0])
     ell = chain_length(n, d)
-    head = (sum(d), 0) * r
-    tops = [a for a in cls if a[: 2 * r] == head]
-    if ell == 0 or r == 0:  # one-point fibers: every element is a top
-        chains = [Chain(top, ()) for top in tops]
-    elif r == 1:
+    if ell == 0:
+        return ClassDecomposition(d, r, ell, tuple(Chain(a, ()) for a in cls))
+    tops = [(sum(d), 0) * r + b for b in signature_class(n - 2 * r, d[r:])]
+    if r == 1:
         chains = [transversal_chain(top, 0) for top in tops]
     else:
-        # coordinates of each (r, ell) chain, shared by every fiber
-        if (r, ell) not in sub_coords:
-            sub_coords[r, ell] = [
-                [from_gaps(e) for e in sub.elements()]
-                for sub in decompose_all(r, ell).chains()
+        if (r, ell) not in sub_chains:
+            # each chain's coordinates lam at their colex rank, the
+            # combinatorial number system's sum of comb(lam[k] + k, k + 1)
+            sub_chains[r, ell] = [
+                [sum(comb(x + k, k + 1) for k, x in enumerate(from_gaps(e)))
+                 for e in ch.elements()]
+                for ch in decompose_all(r, ell).chains()
             ]
         chains = []
         for top in tops:
-            point = _fiber(top, ell)
-            for coords in sub_coords[r, ell]:
-                images = [point(lam) for lam in coords]
-                colors = []
-                for low, high in zip(images, images[1:]):
-                    c = cover_color(low, high)
-                    if c is None:
-                        raise InconsistencyError(
-                            f"transported chain not saturated at {low} -> {high}"
-                        )
-                    colors.append(c)
-                chains.append(Chain(images[0], tuple(colors)))
+            points = _fiber_points(top, r, ell)
+            for positions in sub_chains[r, ell]:
+                images = [points[i] for i in positions]
+                colors = tuple(map(cover_color, images, images[1:]))
+                if None in colors:
+                    low, high = images[colors.index(None):][:2]
+                    raise InconsistencyError(
+                        f"transported chain not saturated at {low} -> {high}")
+                chains.append(Chain(images[0], colors))
     return ClassDecomposition(d, r, ell, tuple(chains))
 
 
@@ -236,8 +212,8 @@ def decompose_all(n: int, m: int) -> Decomposition:
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")
     classes = signature_classes(n, m).items()
-    sub_coords: dict = {}
-    out = tuple(_class_decomposition(n, d, cls, sub_coords) for d, cls in classes)
+    sub_chains: dict = {}
+    out = tuple(_class_decomposition(n, d, cls, sub_chains) for d, cls in classes)
     return _indexed(n, m, out)
 
 

@@ -157,6 +157,16 @@ def test_classes_single_class_posets(capsys):
     assert [r["size"] for r in json.loads(out)] == [1]
 
 
+@pytest.mark.parametrize("n, m", [(6, 6), (5, 0), (0, 5), (1, 5)])
+def test_classes_flags_no_row(capsys, n, m):
+    # every listed signature has its highest-weight element, the enumerated
+    # one-class posets of n <= 1 or m == 0 included; the key stays in the JSON
+    code, out = run(capsys, "classes", "--n", str(n), "--m", str(m), "--format", "json")
+    rows = json.loads(out)
+    assert code == 0 and rows
+    assert [r["boundary_flagged"] for r in rows] == [False] * len(rows)
+
+
 def test_decompose_json(capsys):
     code, out = run(capsys, "decompose", "--n", "2", "--m", "2", "--format", "json")
     data = json.loads(out)

@@ -28,6 +28,7 @@ FORMATS = {"json": "json", "text": "txt"}
 DIGESTED = [
     "classes --n 12 --m 7",
     "decompose --n 9 --m 9 --format json",
+    "decompose --n 12 --m 7 --format json",
 ]
 DIGEST_PATH = DATA_DIR / "cli_stdout_sha256.json"
 SWEEP_BOUNDS = (1000, 12)  # max_size, max_dim of the pinned sweep

@@ -83,6 +83,19 @@ def test_statistics_reaches_no_higher_layer():
     assert not imports & {".transversal", ".structure", ".oracle"}
 
 
+def test_the_oracle_rebuilds_fibers_without_structure_internals():
+    # the oracle's fiber map is its own route; it may call structure's
+    # public constructions only to check them
+    private = {
+        alias.name
+        for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "structure"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == set()
+
+
 def test_only_the_oracle_names_the_waived_checks():
     # the oracle alone decides which failed checks are documented facts;
     # the CLI reads its verdict and names no check of its own

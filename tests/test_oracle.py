@@ -81,17 +81,17 @@ def test_swapped_fiber_points_are_recorded_not_raised(monkeypatch):
     # over (1,0) of class (0,1,1) at n=5 still covers the coordinate
     # lattice, which the oracle lists itself, so the bijection holds and
     # both points fail the round trip
-    real = oracle._fiber
+    real = oracle._fiber_images
     top = (2, 0, 2, 0, 1, 0)
     swap = {(0, 1): (1, 1), (1, 1): (0, 1)}
 
     def swapped(image, *args):
-        point = real(image, *args)
+        images = real(image, *args)
         if image != top:
-            return point
-        return lambda lam: point(swap.get(lam, lam))
+            return images
+        return {lam: images[swap.get(lam, lam)] for lam in images}
 
-    monkeypatch.setattr(oracle, "_fiber", swapped)
+    monkeypatch.setattr(oracle, "_fiber_images", swapped)
     rep = oracle.verify_split_extension(5, (0, 1, 1))
     assert rep.checks["coordinates_bijective"].passed
     check = rep.checks["coordinates_mutually_inverse"]

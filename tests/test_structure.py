@@ -19,7 +19,6 @@ from unimodal_chains.statistics import (
     signature_classes,
 )
 from unimodal_chains.structure import (
-    _fiber,
     decompose_all,
     decompose_class,
     decomposition_from_dict,
@@ -31,7 +30,7 @@ from unimodal_chains.structure import (
     section,
     unimodality_certificate,
 )
-from unimodal_chains.oracle import verify_split_extension
+from unimodal_chains.oracle import _fiber_images, verify_split_extension
 
 
 def test_section_examples():
@@ -108,14 +107,15 @@ def test_fiber_element_examples():
 
 
 def test_fiber_map_refuses_a_chain_of_the_wrong_length():
+    # the oracle's own coordinate map, which rebuilds each fiber it checks
     with pytest.raises(InconsistencyError, match="chain of length 4 != 3"):
-        _fiber((2, 0, 0), 3)((0,))
+        _fiber_images((2, 0, 0), 1, 3)
 
 
 def test_fiber_map_hits_each_element_of_every_fiber_of_the_sweep_once():
-    # over its coordinate lattice L(r, ell), the map from each section
-    # image yields comb(r + ell, r) distinct points: the elements of the
-    # class that project to the image's base
+    # over its coordinate lattice L(r, ell), fiber_element from each base
+    # element yields comb(r + ell, r) distinct points: the elements of the
+    # class that project to that base element
     from unimodal_chains.oracle import sweep_pairs
 
     fibers = 0
@@ -128,8 +128,7 @@ def test_fiber_map_hits_each_element_of_every_fiber_of_the_sweep_once():
             lattice = list(combinations_with_replacement(range(ell + 1), r))
             assert len(lattice) == comb(r + ell, r)
             for b in signature_class(n - 2 * r, d[r:]):
-                point = _fiber(section(b, r, sum(d)), ell)
-                points = [point(lam) for lam in lattice]
+                points = [fiber_element(lam, b, sum(d)) for lam in lattice]
                 assert len(set(points)) == len(points), (n, d, b)
                 fiber = {a for a in cls if remove_maximal_pairs(a) == b}
                 assert set(points) == fiber, (n, d, b)
@@ -468,6 +467,33 @@ def test_decompose_all_decomposes_each_sub_poset_once(monkeypatch):
     assert set(pairs) <= set(calls)
 
 
+@pytest.mark.parametrize("n, m, flat", [(6, 6, []), (6, 8, [(0, 0, 0, 2)])])
+def test_decompose_all_takes_its_tops_from_the_base_classes(n, m, flat):
+    # the section images are written from the memoized base classes, so
+    # decompose_all iterates only the classes of transversal length 0,
+    # which are their own one-point chains
+    from unimodal_chains import statistics
+
+    iterated = []
+
+    class Spy(tuple):
+        def __iter__(self):
+            iterated.append(self.signature)
+            return super().__iter__()
+
+    statistics.clear_caches()
+    classes = signature_classes(n, m)
+    for d, cls in classes.items():
+        classes[d] = Spy(cls)
+        classes[d].signature = d
+    try:
+        dec = decompose_all(n, m)
+    finally:
+        statistics.clear_caches()
+    assert iterated == flat == [d for d in classes if chain_length(n, d) == 0]
+    assert len(dec.index) == count_compositions(n, m)
+
+
 @pytest.mark.parametrize("n, m, own, memos", [(9, 9, 18, 46), (12, 7, 17, 42)])
 def test_decompose_all_classifies_only_the_posets_it_decomposes(
     monkeypatch, n, m, own, memos
@@ -498,8 +524,9 @@ def test_decompose_all_classifies_only_the_posets_it_decomposes(
 
 
 def test_fiber_points_are_the_coordinate_maps_images():
-    # statistics walks each fiber whole; its points are _fiber's images of
-    # the weakly increasing coordinates in [0, ell]^r, one each
+    # statistics walks each fiber whole; its i-th point is fiber_element's
+    # image of the i-th weakly increasing coordinate vector in [0, ell]^r,
+    # in colex order (the last coordinate varies slowest)
     from unimodal_chains import statistics
     from unimodal_chains.oracle import sweep_pairs
     from unimodal_chains.statistics import highest_weight
@@ -508,16 +535,17 @@ def test_fiber_points_are_the_coordinate_maps_images():
     for n, m in sweep_pairs(1000, 12):
         if n < 2 or m == 0 or count_compositions(n, m) > 5000:
             continue
-        for d, cls in signature_classes(n, m).items():
+        for d in signature_classes(n, m):
             r = degree(highest_weight(n, d))
             ell = chain_length(n, d)
-            head = (sum(d), 0) * r
-            for top in (a for a in cls if a[: 2 * r] == head):
-                point = _fiber(top, ell)
-                images = [point(lam) for lam in combinations_with_replacement(
-                    range(ell + 1), r)]
-                assert sorted(statistics._fiber_points(top, r, ell)) == sorted(images)
-                assert len(set(images)) == comb(r + ell, r)
+            s = sum(d)
+            order = sorted(combinations_with_replacement(range(ell + 1), r),
+                           key=lambda lam: lam[::-1])
+            for b in signature_class(n - 2 * r, d[r:]):
+                points = statistics._fiber_points(section(b, r, s), r, ell)
+                assert len(points) == len(order) == comb(r + ell, r)
+                for lam, point in zip(order, points):
+                    assert point == fiber_element(lam, b, s), (n, d, b, lam)
                 fibers += 1
     assert fibers == 689
     statistics.clear_caches()
