@@ -13,6 +13,7 @@ transversal both build on them.
 from __future__ import annotations
 
 import re
+import sys
 from math import comb
 from operator import mul
 from typing import Iterator
@@ -30,6 +31,8 @@ MAX_CELLS = 2**31
 MAX_POSET_SIZE = 1_000_000
 
 _INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+# the positions 0, 1, 2, ... of any composition; map() stops at its end
+_POSITIONS = range(sys.maxsize)
 
 
 class InconsistencyError(RuntimeError):
@@ -150,7 +153,7 @@ def flip(comp: Composition) -> Composition:
 
 
 def rank(comp: Composition) -> int:
-    return sum(map(mul, comp, range(len(comp))))
+    return sum(map(mul, comp, _POSITIONS))
 
 
 def weight(comp: Composition) -> int:

@@ -2,13 +2,16 @@
 
 Coefficient vectors are tuples of Python ints indexed by q-degree, so
 everything is arbitrary precision; the Pascal-type recurrence keeps all
-intermediates integral (no polynomial division).
+intermediates integral (no polynomial division).  gaussian's memo holds
+one tuple per unordered box: (m, n) and (n, m) share it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import add
 from typing import Iterable
 
 from .posets import Composition, ResourceGuardError, rank
@@ -25,6 +28,12 @@ def gaussian(m: int, n: int) -> CoefficientVector:
     Equals the rank generating function of partitions with at most m
     parts bounded by n.  Computed by the recurrence
     [N k] = [N-1 k-1] + q^k [N-1 k] with exact integer arithmetic.
+    Conjugation makes it symmetric in m and n, so (m, n) with m > n
+    returns the very tuple of (n, m): the memo holds one entry per
+    unordered box, and only boxes with m <= n are computed.  A cold call
+    recurses about m + n levels deep in either order: under Python's
+    default recursion limit the CLI computes (1, 497) and (10, 488) but
+    raises RecursionError on (1, 498) and (10, 489).
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
@@ -32,17 +41,19 @@ def gaussian(m: int, n: int) -> CoefficientVector:
         raise ResourceGuardError(f"gaussian({m},{n}) degree {m*n} over limit")
     if m == 0 or n == 0:
         return (1,)
-    out = [0] * (m * n + 1)
-    for i, c in enumerate(gaussian(m - 1, n)):
-        out[i] += c
-    for i, c in enumerate(gaussian(m, n - 1)):
-        out[i + m] += c
-    return tuple(out)
+    if m > n:
+        # (n, m)'s two terms first, from this frame, so that the mirrored
+        # call recurses no deeper than computing (m, n) itself would
+        gaussian(n - 1, m)
+        gaussian(n, m - 1)
+        return gaussian(n, m)
+    return tuple(map(add, chain(gaussian(m - 1, n), repeat(0, n)),
+                     chain(repeat(0, m), gaussian(m, n - 1))))
 
 
 def rank_generating_function(elements: Iterable[Composition]) -> CoefficientVector:
     """Histogram of rank over a set of compositions; () for the empty set."""
-    counts = Counter(rank(c) for c in elements)
+    counts = Counter(map(rank, elements))
     if not counts:
         return ()
     return tuple(counts.get(i, 0) for i in range(max(counts) + 1))

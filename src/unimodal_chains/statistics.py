@@ -264,7 +264,8 @@ def _fiber_points(top, r, ell):
 
 def clear_caches() -> None:
     """Drop every per-poset memo: signatures and classes.  qpoly.gaussian's
-    stays, as it is keyed by box, shared across posets and read by perfbench."""
+    stays, as it is keyed by box (one entry serves (m, n) and (n, m)),
+    shared across posets and read by perfbench."""
     signature.cache_clear()
     signature_classes.cache_clear()
 

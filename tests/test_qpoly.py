@@ -1,3 +1,6 @@
+import hashlib
+import sys
+
 import pytest
 
 from unimodal_chains.posets import ResourceGuardError, enumerate_compositions
@@ -47,6 +50,59 @@ def test_gaussian_arbitrary_precision():
     assert max(g) > 2**64
     assert sum(g) == 107507208733336176461620  # C(80, 40)
     assert is_symmetric(g) and is_unimodal(g)
+
+
+def test_gaussian_values_over_the_grid_are_pinned():
+    # sha256 of the recursion's values before one memo entry served both orders
+    text = "\n".join(
+        ",".join(map(str, gaussian(m, n))) for m in range(41) for n in range(41)
+    )
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "6de53c2bf986c4ffa150f754c1537df6ec179db5890d48e6a76fa6bbc4df2d12"
+    )
+
+
+def test_gaussian_serves_both_orders_of_a_box_from_one_entry():
+    gaussian.cache_clear()
+    g = gaussian(12, 7)
+    assert gaussian(7, 12) is g
+    gaussian.cache_clear()
+    gaussian(40, 40)
+    # 820 computed boxes 1 <= m <= n <= 40, 41 empty ones ((0, 1) to
+    # (0, 40) and (1, 0)) and 39 mirrored (k, k-1) for k = 2..40; with one
+    # entry per ordered box the recursion left 1,680
+    assert gaussian.cache_info().currsize == 900
+
+
+def _cold_depth(m, n):
+    """Most gaussian frames on the stack at once during a cold gaussian(m, n)."""
+    code = gaussian.__wrapped__.__code__
+    depth = deepest = 0
+
+    def trace(frame, event, arg):
+        nonlocal depth, deepest
+        if frame.f_code is code:
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+        return trace
+
+    gaussian.cache_clear()
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        gaussian(m, n)
+    finally:
+        sys.settrace(old)
+    return deepest
+
+
+@pytest.mark.parametrize("m, n", [(1, 30), (5, 30), (12, 7)])
+def test_a_mirrored_box_recurses_no_deeper_than_its_own_order(m, n):
+    assert _cold_depth(n, m) == _cold_depth(m, n) == m + n
 
 
 def test_gaussian_resource_guard():
