@@ -30,7 +30,6 @@ from .posets import (
 )
 from .qpoly import format_coefficients, gaussian, is_symmetric, is_unimodal
 from .statistics import (
-    chain_length,
     degree,
     highest_weight,
     maximal_structure,
@@ -38,6 +37,7 @@ from .statistics import (
     signature,
     signature_classes,
     signature_mass,
+    split_step,
 )
 from .structure import decompose_all, decomposition_to_dict
 from .oracle import run_pair, run_sweep, sweep_pairs
@@ -114,20 +114,20 @@ def cmd_classes(args) -> int:
         classes = {wanted: signature_classes(args.n, args.m)[wanted]}
     else:
         classes = signature_classes(args.n, args.m)
-    # signature_classes has called highest_weight, which raises on a
-    # signature it does not fit, on every class it built from a base
-    # class; "boundary_flagged" stays, always false, so the JSON keeps its keys
-    rows = [
-        {
+    # split_step calls highest_weight, which raises on a signature it
+    # does not fit; "boundary_flagged" stays, always false, so the JSON
+    # keeps its keys
+    rows = []
+    for d, cls in classes.items():
+        r, ell, _ = split_step(args.n, d)
+        rows.append({
             "signature": _format_signature(d),
             "size": len(cls),
-            "r": degree(cls[0]),
-            "ell": chain_length(args.n, d),
+            "r": r,
+            "ell": ell,
             "highest_weight": format_composition(highest_weight(args.n, d)),
             "boundary_flagged": False,
-        }
-        for d, cls in classes.items()
-    ]
+        })
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     else:

@@ -8,10 +8,11 @@ element checked for membership in its chains, and exact order matrices,
 one int bitset per row, built one column at a time and at most
 MAX_ORDER_MATRIX_ROWS rows, for the split extensions that structure
 builds.  verify_split_extension classifies each class's base poset
-itself, writes the section images by its own formula and rebuilds each
-fiber from its image with its own coordinate map, _fiber_images, one
-transversal chain per coordinate tail, over the lattice L(r, ell) it
-lists itself.  The split-extension checks locate chain steps and
+itself, takes r from a class element rather than from the library's
+statistics.split_step, writes the section images by its own formula and
+rebuilds each fiber from its image with its own coordinate map,
+_fiber_images, one transversal chain per coordinate tail, over the
+lattice L(r, ell) it lists itself.  The split-extension checks locate chain steps and
 stripped initial elements with the library's own raising and lowering
 walks (posets._raise_path and _lower_path);
 check_chains verifies the chains those walks build.  Within a scope the
@@ -25,7 +26,8 @@ one, and lists in empty_class_census each signature of its own
 enumerate_signatures call that the classification has no class for;
 verify_split_extension lists each class element's in-class upper covers
 once.  Each check is one CheckResult; failures are recorded with
-reproducible inputs, never raised.
+reproducible inputs, never raised.  _order_matrix_rows is a resource
+guard, not a check, and reads the library's split_step.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .statistics import (
     signature_class,
     signature_classes,
     signature_mass,
+    split_step,
     spread,
 )
 from .structure import (
@@ -755,13 +758,15 @@ def sweep_pairs(max_size: int, max_dim: int = 12) -> list[tuple[int, int]]:
 def _order_matrix_rows(n, m):
     """Row counts of the order matrices check_structure builds for (n, m):
     comb(r + ell, r) for each fiber of a class of degree r >= 2, and the
-    base class's size for each section check."""
-    for d, cls in signature_classes(n, m).items():
-        r = degree(cls[0])
+    base class's size, its number of section images, for each section
+    check.  A resource guard, not a check, so it reads r, ell and the
+    section images from the library's split_step."""
+    for d in signature_classes(n, m):
+        r, ell, tops = split_step(n, d)
         if r >= 2:
-            yield comb(r + chain_length(n, d), r)
+            yield comb(r + ell, r)
         if r >= 1:
-            yield len(signature_class(n - 2 * r, d[r:]))
+            yield len(tops)
 
 
 def run_pair(n: int, m: int):

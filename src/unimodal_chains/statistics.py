@@ -5,12 +5,15 @@ a maximal pair is an adjacent pair attaining it.  Removing as many
 maximal pairs as possible drops mass and length in a controlled way,
 and iterating the removal yields the signature: a vector refining both
 statistics that is constant on saturated transversal chains.
-signature_classes builds each class from its base class, the class of
-the removal images, instead of classifying element by element: the
+split_step holds the one step of the split extension: a class's degree
+r, its transversal length ell, and its section images, written from its
+base class, the class of the removal images.  signature_classes builds
+each class from that step instead of classifying element by element: the
 signature is computed only for each class's highest-weight element, and
 every other element is a point of a fiber below a section image, walked
 with the raising and lowering walks of posets in the coordinate order
-that structure's decomposition reads.
+that structure's decomposition reads.  The decomposition and the CLI
+read the same step.
 """
 
 from __future__ import annotations
@@ -189,14 +192,11 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
     with it.
 
     A poset with n <= 1 or m == 0 is one class and is enumerated.  Any
-    other class (n, d) is built from its base class: with h its
-    highest-weight element, r = degree(h) and s = sum(d), the class is
-    the union over the elements b of the base class (n - 2r, d[r:]) of
-    the fibers below the section images (s, 0) * r + b, each a copy of
-    L(r, chain_length(n, d)).  A base class that is missing, or classes
-    that do not partition the count_compositions(n, m) elements, raise
-    InconsistencyError; so does a fiber walk that fails _fiber_points'
-    checks.
+    other class (n, d) is the union of the fibers below the section
+    images that split_step(n, d) writes, each a copy of L(r, ell).
+    Classes that do not partition the count_compositions(n, m) elements
+    raise InconsistencyError; so does a missing base class, and a fiber
+    walk that fails _fiber_points' checks.
     """
     if n <= 1 or m <= 0:
         elements = tuple(enumerate_compositions(n, m))
@@ -204,19 +204,10 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
     check_poset_size(n, m)
     classes = {}
     for d in enumerate_signatures(n, m):
-        r = degree(highest_weight(n, d))
-        s = sum(d)
-        base = signature_classes(n - 2 * r, m - r * s).get(d[r:])
-        if base is None:
-            raise InconsistencyError(
-                f"class {d} of n={n}: base class {d[r:]} of "
-                f"n={n - 2 * r}, m={m - r * s} missing"
-            )
-        ell = chain_length(n, d)
-        head = (s, 0) * r
+        r, ell, tops = split_step(n, d)
         points = []
-        for b in base:
-            points += _fiber_points(head + b, r, ell)
+        for top in tops:
+            points += _fiber_points(top, r, ell)
         points.sort()
         classes[d] = tuple(points)
     total = count_compositions(n, m)
@@ -226,6 +217,32 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
             f"classes of n={n}, m={m} do not partition its {total} elements"
         )
     return classes
+
+
+def split_step(n: int, d: Signature) -> tuple[int, int, list[Composition]]:
+    """The split step of the class (n, d): (r, ell, tops).
+
+    The class is its base class (n - 2r, d[r:]) times the fiber
+    L(r, ell).  r is the degree of its highest-weight element (not its
+    leading zeros plus one, which differs on some classes with
+    ell == 0), ell is chain_length(n, d), and tops are the section
+    images (s, 0) * r + b, s = sum(d), over the elements b of the base
+    class, in its lexicographic order: the tops of the class's fibers.
+    Reads the base class from signature_classes, so it classifies the
+    base poset, not the class's own (for n == 0, where r == 0, the two
+    are one).  A base class that is missing raises InconsistencyError.
+    """
+    r = degree(highest_weight(n, d))
+    s = sum(d)
+    base_m = signature_mass(d) - r * s
+    base = signature_classes(n - 2 * r, base_m).get(d[r:])
+    if base is None:
+        raise InconsistencyError(
+            f"class {d} of n={n}: base class {d[r:]} of "
+            f"n={n - 2 * r}, m={base_m} missing"
+        )
+    head = (s, 0) * r
+    return r, chain_length(n, d), [head + b for b in base]
 
 
 def _fiber_points(top, r, ell):

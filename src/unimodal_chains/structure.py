@@ -7,12 +7,13 @@ coordinates count the covers of transversal's raising walk.
 fiber_element walks one point of a fiber down from its section image.
 Iterating this picture decomposes the whole composition poset into
 saturated chains whose per-length tops are centered and unimodal, which
-is exactly the unimodality certificate.  The decomposition writes each
-class's section images, its fibers' tops, from the base class that
-statistics.signature_classes memoized with the class, and reads each
-fiber from statistics._fiber_points, the walk that built the class.  It
-keeps no memo across calls; the ones it reads live in statistics,
-beside clear_caches().  This module only constructs;
+is exactly the unimodality certificate.  The decomposition takes each
+class's r, ell and section images, its fibers' tops, from
+statistics.split_step, which writes them from the memoized base class,
+and reads each fiber from statistics._fiber_points, the walk that built
+the class; it classifies the base posets, not the poset it decomposes
+(n >= 1).  It keeps no memo across calls; the ones it reads live in
+statistics, beside clear_caches().  This module only constructs;
 oracle.verify_split_extension checks it.
 """
 
@@ -25,6 +26,7 @@ from .posets import (
     Composition,
     InconsistencyError,
     _raise_path,
+    check_poset_size,
     cover_color,
     count_compositions,
     from_gaps,
@@ -39,11 +41,11 @@ from .statistics import (
     _remove_runs,
     _runs_degree,
     chain_length,
-    degree,
+    enumerate_signatures,
     remove_maximal_pairs,
     signature,
     signature_class,
-    signature_classes,
+    split_step,
     spread,
 )
 from .transversal import Chain, flip_chain, transversal_chain
@@ -72,6 +74,8 @@ def first_coordinate_closed_form(a: Composition) -> int:
     With (a_i, a_{i+1}) the leftmost maximal pair and s the spread, the
     count is (i+1)s - a_i - 2(a_0 + ... + a_{i-1}).
     """
+    if len(a) < 2:
+        raise ValueError("need at least two entries")
     if sum(a) == 0:
         return 0
     s, runs = _components(a)
@@ -152,32 +156,31 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
     degree r >= 2 the fibers are coordinate lattices, so the recursive
     decomposition of the matching composition poset is transported
     through the coordinate maps.  Length-0 classes fall apart into
-    singletons.
+    singletons.  The class is listed first, which validates d and runs
+    the size guards of its poset.
     """
     d = tuple(d)
-    return list(_class_decomposition(n, d, signature_class(n, d), {}).chains)
+    signature_class(n, d)
+    return list(_class_decomposition(n, d, {}).chains)
 
 
 def _class_decomposition(
-    n: int, d: Signature, cls, sub_chains: dict
+    n: int, d: Signature, sub_chains: dict
 ) -> ClassDecomposition:
-    """decompose_class of the class cls, built from its base class.
+    """decompose_class of the class (n, d), built from its split step.
 
-    No class is empty, and degree is constant on a signature class, so
-    its first element gives r; _indexed rejects the decomposition if the
-    classes were wrong.  A class of transversal length 0 is its own
-    one-point chains.  Any other class is not read: its fibers' tops are
-    (s, 0) * r + b over the base class (n - 2r, d[r:]), memoized with cls
-    (for n == 1, the one element () of the (-1, 0) poset).  sub_chains
-    maps (r, ell) to each (r, ell) chain's positions in _fiber_points'
-    order; decompose_all shares it among its classes, so each (r, ell)
-    poset is decomposed once per call.
+    The class itself is not read: split_step gives r, ell and its
+    fibers' tops, the section images over its base class (for n == 1,
+    the one element () of the (-1, 0) poset); _indexed rejects the
+    decomposition if they were wrong.  A class of transversal length 0
+    is its tops as one-point chains.  sub_chains maps (r, ell) to each
+    (r, ell) chain's positions in _fiber_points' order; decompose_all
+    shares it among its classes, so each (r, ell) poset is decomposed
+    once per call.
     """
-    r = degree(cls[0])
-    ell = chain_length(n, d)
+    r, ell, tops = split_step(n, d)
     if ell == 0:
-        return ClassDecomposition(d, r, ell, tuple(Chain(a, ()) for a in cls))
-    tops = [(sum(d), 0) * r + b for b in signature_class(n - 2 * r, d[r:])]
+        return ClassDecomposition(d, r, ell, tuple(Chain(top, ()) for top in tops))
     if r == 1:
         chains = [transversal_chain(top, 0) for top in tops]
     else:
@@ -206,14 +209,19 @@ def _class_decomposition(
 def decompose_all(n: int, m: int) -> Decomposition:
     """Partition the whole (n, m) composition poset into saturated chains.
 
-    Chains are grouped by signature class; element coverage and
-    disjointness are checked and any defect is a hard failure.
+    Chains are grouped by signature class, in the enumerate_signatures
+    order, each from its split step, so only the base posets of its
+    classes are classified, not the poset itself (for n == 0 its one
+    class is its own base).  Its size guards run first.  Element
+    coverage and disjointness are checked and any defect is a hard
+    failure.
     """
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")
-    classes = signature_classes(n, m).items()
+    check_poset_size(n, m)
     sub_chains: dict = {}
-    out = tuple(_class_decomposition(n, d, cls, sub_chains) for d, cls in classes)
+    out = tuple(_class_decomposition(n, d, sub_chains)
+                for d in enumerate_signatures(n, m))
     return _indexed(n, m, out)
 
 

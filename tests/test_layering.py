@@ -116,3 +116,48 @@ def test_only_the_oracle_names_the_waived_checks():
     naming = [p.name for p in PACKAGE.glob("*.py")
               if any(check in p.read_text() for check in oracle.WAIVED)]
     assert naming == ["oracle.py"]
+
+
+def _where(names, matches):
+    """(file, innermost enclosing function) of every node that matches."""
+    found = set()
+
+    def visit(node, name, func):
+        if matches(node):
+            found.add((name, func))
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else func
+            visit(child, name, inner)
+
+    for name in names:
+        visit(ast.parse((PACKAGE / name).read_text()), name, None)
+    return found
+
+
+def _writes_section_head(node):
+    # (s, 0) * r: a pair ending in the constant 0, repeated
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+        isinstance(side, ast.Tuple) and len(side.elts) == 2
+        and isinstance(side.elts[1], ast.Constant) and side.elts[1].value == 0
+        for side in (node.left, node.right)
+    )
+
+
+def _reads_class_degree(node):
+    # degree(highest_weight(n, d)), degree(cls[0]), degree(min(cls, ...)):
+    # the degree of anything but an element passed in by name
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "degree"
+            and not all(isinstance(arg, ast.Name) for arg in node.args))
+
+
+def test_only_the_split_step_writes_a_class_s_r_and_section_images():
+    # one split step for the library and the CLI; structure.section serves
+    # fiber_element, and the oracle keeps its own route on purpose
+    library = ("statistics.py", "structure.py", "cli.py")
+    assert _where(library, _writes_section_head) == {
+        ("statistics.py", "split_step"), ("structure.py", "section")}
+    assert _where(library, _reads_class_degree) == {("statistics.py", "split_step")}
+    # the oracle's own route is still there to check it
+    assert ("oracle.py", "verify_split_extension") in _where(
+        ["oracle.py"], _writes_section_head) & _where(["oracle.py"], _reads_class_degree)

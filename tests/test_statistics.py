@@ -18,9 +18,10 @@ from unimodal_chains.statistics import (
     signature_class,
     signature_classes,
     signature_mass,
+    split_step,
     spread,
 )
-from unimodal_chains.structure import decompose_class
+from unimodal_chains.structure import decompose_all, decompose_class, section
 
 
 def small_compositions():
@@ -444,5 +445,28 @@ def test_a_missing_base_class_is_refused(monkeypatch):
     monkeypatch.setattr(statistics, "signature_classes", without_first)
     with pytest.raises(InconsistencyError, match=r"base class .* missing"):
         real(4, 4)
+    # the decomposition reads the same split step
+    with pytest.raises(InconsistencyError, match=r"base class .* missing"):
+        decompose_all(4, 4)
     monkeypatch.undo()
     statistics.clear_caches()
+
+
+def test_split_step_is_the_class_over_its_base_class():
+    # r is the degree of every element, ell the class's chain length, and
+    # the tops are the section images over the base class, in the class
+    # and in its order; r is not leading zeros + 1 on 29 classes, all of
+    # transversal length 0
+    off_rule = 0
+    for n, m in sweep_pairs(1000, 12):
+        for d, cls in signature_classes(n, m).items():
+            r, ell, tops = split_step(n, d)
+            assert {degree(a) for a in cls} == {r}, (n, d)
+            assert ell == chain_length(n, d)
+            base = signature_class(n - 2 * r, d[r:])
+            assert tops == [section(b, r, sum(d)) for b in base], (n, d)
+            assert sorted(tops) == tops and set(tops) <= set(cls)
+            if r != next((j for j, dj in enumerate(d) if dj), len(d) - 1) + 1:
+                off_rule += 1
+                assert ell == 0, (n, d)
+    assert off_rule == 29

@@ -82,6 +82,14 @@ def test_first_coordinate_closed_form_examples():
     assert first_coordinate_closed_form((0, 1, 1)) == 3
     assert first_coordinate_closed_form((2, 0, 0)) == 0
     assert first_coordinate_closed_form((0, 2, 0)) == 2
+    assert first_coordinate_closed_form((0, 0)) == 0
+
+
+@pytest.mark.parametrize("a", [(3,), (0,), ()])
+def test_first_coordinate_closed_form_needs_a_pair(a):
+    # one entry has no maximal pair to raise from
+    with pytest.raises(ValueError, match="need at least two entries"):
+        first_coordinate_closed_form(a)
 
 
 def test_first_coordinate_matches_steps_exhaustive():
@@ -396,8 +404,8 @@ def test_chain_successors_match_chain_walks():
 
 
 def test_degree_is_constant_on_every_class_of_the_sweep():
-    # _class_decomposition takes r from any element of the class; before,
-    # it took the degree of the class's lowest-rank element
+    # split_step takes r from the class's highest-weight element and the
+    # oracle from its first element, so both need degree constant on it
     from unimodal_chains.oracle import sweep_pairs
 
     for n, m in sweep_pairs(1000, 12):
@@ -467,41 +475,43 @@ def test_decompose_all_decomposes_each_sub_poset_once(monkeypatch):
     assert set(pairs) <= set(calls)
 
 
-@pytest.mark.parametrize("n, m, flat", [(6, 6, []), (6, 8, [(0, 0, 0, 2)])])
-def test_decompose_all_takes_its_tops_from_the_base_classes(n, m, flat):
-    # the section images are written from the memoized base classes, so
-    # decompose_all iterates only the classes of transversal length 0,
-    # which are their own one-point chains
-    from unimodal_chains import statistics
+def test_decompose_all_never_classifies_its_own_poset(monkeypatch):
+    # each class comes from its split step, which reads only its base
+    # class, so the decomposed poset is neither classified nor memoized
+    from unimodal_chains import statistics, structure
 
-    iterated = []
+    real = statistics.signature_classes
+    calls = []
 
-    class Spy(tuple):
-        def __iter__(self):
-            iterated.append(self.signature)
-            return super().__iter__()
+    def spy(n, m):
+        calls.append((n, m))
+        return real(n, m)
 
     statistics.clear_caches()
-    classes = signature_classes(n, m)
-    for d, cls in classes.items():
-        classes[d] = Spy(cls)
-        classes[d].signature = d
+    monkeypatch.setattr(statistics, "signature_classes", spy)
+    monkeypatch.setattr(structure, "signature_classes", spy, raising=False)
     try:
-        dec = decompose_all(n, m)
+        dec = decompose_all(9, 9)
+        monkeypatch.undo()
+        assert calls and (9, 9) not in calls
+        # one miss: (9, 9) is new to the memo, its base posets are not
+        misses = real.cache_info().misses
+        real(9, 9)
+        assert real.cache_info().misses == misses + 1
     finally:
         statistics.clear_caches()
-    assert iterated == flat == [d for d in classes if chain_length(n, d) == 0]
-    assert len(dec.index) == count_compositions(n, m)
+    assert len(dec.index) == count_compositions(9, 9)
 
 
-@pytest.mark.parametrize("n, m, own, memos", [(9, 9, 18, 46), (12, 7, 17, 42)])
-def test_decompose_all_classifies_only_the_posets_it_decomposes(
-    monkeypatch, n, m, own, memos
+@pytest.mark.parametrize("n, m, memos", [(9, 9, 40), (12, 7, 37)])
+def test_decompose_all_classifies_only_the_base_posets_of_the_posets_it_decomposes(
+    monkeypatch, n, m, memos
 ):
-    # classifying a poset memoizes it with its base posets; decompose_all
-    # adds the (r, ell) sub-posets whose chains it transports, each with
-    # its own base posets, and nothing else
+    # decompose_all classifies neither (n, m) nor the (r, ell) posets
+    # whose chains it transports, only the base posets of their classes,
+    # each memoized with its own base posets
     from unimodal_chains import statistics, structure
+    from unimodal_chains.statistics import enumerate_signatures, highest_weight
 
     decomposed = []
     real = structure.decompose_all
@@ -512,13 +522,13 @@ def test_decompose_all_classifies_only_the_posets_it_decomposes(
 
     monkeypatch.setattr(structure, "decompose_all", spy)
     statistics.clear_caches()
-    signature_classes(n, m)
-    assert statistics.signature_classes.cache_info().currsize == own
     spy(n, m)
     assert statistics.signature_classes.cache_info().currsize == memos
     statistics.clear_caches()
-    for pair in decomposed:
-        signature_classes(*pair)
+    for a, b in decomposed:
+        for d in enumerate_signatures(a, b):
+            r = degree(highest_weight(a, d))
+            signature_classes(a - 2 * r, b - r * sum(d))
     assert statistics.signature_classes.cache_info().currsize == memos
     statistics.clear_caches()
 
