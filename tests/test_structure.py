@@ -503,6 +503,70 @@ def test_decompose_all_never_classifies_its_own_poset(monkeypatch):
     assert len(dec.index) == count_compositions(9, 9)
 
 
+@pytest.mark.parametrize("n, m, flat", [(6, 6, []), (6, 8, [(0, 0, 0, 2)])])
+def test_decompose_all_takes_its_tops_from_the_base_classes(n, m, flat):
+    # the section images are written from the memoized base classes, so
+    # decompose_all iterates no class of (n, m); those of transversal
+    # length 0 are their tops as one-point chains
+    from unimodal_chains import statistics
+
+    iterated = []
+
+    class Spy(tuple):
+        def __iter__(self):
+            iterated.append(self.signature)
+            return super().__iter__()
+
+    statistics.clear_caches()
+    classes = signature_classes(n, m)
+    for d, cls in classes.items():
+        classes[d] = Spy(cls)
+        classes[d].signature = d
+    try:
+        dec = decompose_all(n, m)
+        assert iterated == []
+        assert flat == [d for d in classes if chain_length(n, d) == 0]
+        for cd in dec.classes:
+            if cd.signature in flat:
+                assert all(ch.colors == () for ch in cd.chains)
+                assert {ch.top for ch in cd.chains} == set(classes[cd.signature])
+    finally:
+        statistics.clear_caches()
+    assert len(dec.index) == count_compositions(n, m)
+
+
+@pytest.mark.parametrize("n, m, own, memos", [(9, 9, 18, 46), (12, 7, 17, 42)])
+def test_decompose_all_classifies_only_the_posets_it_decomposes(
+    monkeypatch, n, m, own, memos
+):
+    # classifying a poset memoizes it with its base posets; decompose_all
+    # adds base posets of the posets it decomposes, and nothing that
+    # classifying each of those posets would not memoize
+    from unimodal_chains import statistics, structure
+
+    decomposed = []
+    real = structure.decompose_all
+
+    def spy(n, m):
+        decomposed.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(structure, "decompose_all", spy)
+    statistics.clear_caches()
+    signature_classes(n, m)
+    assert statistics.signature_classes.cache_info().currsize == own
+    spy(n, m)
+    assert own < statistics.signature_classes.cache_info().currsize < memos
+    for pair in decomposed:
+        signature_classes(*pair)
+    assert statistics.signature_classes.cache_info().currsize == memos
+    statistics.clear_caches()
+    for pair in decomposed:
+        signature_classes(*pair)
+    assert statistics.signature_classes.cache_info().currsize == memos
+    statistics.clear_caches()
+
+
 @pytest.mark.parametrize("n, m, memos", [(9, 9, 40), (12, 7, 37)])
 def test_decompose_all_classifies_only_the_base_posets_of_the_posets_it_decomposes(
     monkeypatch, n, m, memos
