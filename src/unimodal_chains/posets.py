@@ -75,11 +75,10 @@ def format_composition(comp: Composition) -> str:
 
 
 def _check_partition(parts, bound):
-    prev = 0
-    for p in parts:
-        if p < prev:
-            raise ValueError(f"parts not weakly increasing: {parts}")
-        prev = p
+    if any(p < 0 for p in parts):
+        raise ValueError(f"negative part {min(parts)} in {parts}")
+    if any(p > q for p, q in zip(parts, parts[1:])):
+        raise ValueError(f"parts not weakly increasing: {parts}")
     if parts and parts[-1] > bound:
         raise ValueError(f"part {parts[-1]} exceeds bound {bound}")
     if bound < 0:

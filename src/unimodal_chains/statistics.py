@@ -4,22 +4,20 @@ The spread of a composition is the largest sum of two adjacent entries;
 a maximal pair is an adjacent pair attaining it.  Removing as many
 maximal pairs as possible drops mass and length in a controlled way,
 and iterating the removal yields the signature: a vector refining both
-statistics that is constant on saturated transversal chains.
-split_step holds the one step of the split extension: a class's degree
-r, its transversal length ell, and its section images, written from its
-base class, the class of the removal images.  signature_classes builds
-each class from that step instead of classifying element by element: the
-signature is computed only for each class's highest-weight element, and
-every other element is a point of a fiber below a section image, walked
-with the raising and lowering walks of posets in the coordinate order
-that structure's decomposition reads.  The decomposition and the CLI
-read the same step.
+statistics that is constant on saturated transversal chains.  Each step
+of the forward fiber map has one writer here: split_step (a class's r,
+ell and section images over its base class), _leading_chain (the chain
+at a point's leading pair, which _fiber_points follows to walk a fiber)
+and _fiber_position (a point's index in that walk's colex order).
+signature_classes builds each class from them, not element by element;
+the decomposition, fiber_element and the CLI read the same steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from operator import add, mul
 
 from .posets import (
@@ -30,6 +28,7 @@ from .posets import (
     check_poset_size,
     count_compositions,
     enumerate_compositions,
+    from_gaps,
     walk_down,
 )
 
@@ -226,11 +225,11 @@ def split_step(n: int, d: Signature) -> tuple[int, int, list[Composition]]:
     L(r, ell).  r is the degree of its highest-weight element (not its
     leading zeros plus one, which differs on some classes with
     ell == 0), ell is chain_length(n, d), and tops are the section
-    images (s, 0) * r + b, s = sum(d), over the elements b of the base
-    class, in its lexicographic order: the tops of the class's fibers.
-    Reads the base class from signature_classes, so it classifies the
-    base poset, not the class's own (for n == 0, where r == 0, the two
-    are one).  A base class that is missing raises InconsistencyError.
+    images over the elements of the base class, in its lexicographic
+    order: the tops of the class's fibers.  Reads the base class from
+    signature_classes, so it classifies the base poset, not the class's
+    own (for n == 0, where r == 0, the two are one).  A base class that
+    is missing raises InconsistencyError.
     """
     r = degree(highest_weight(n, d))
     s = sum(d)
@@ -241,32 +240,46 @@ def split_step(n: int, d: Signature) -> tuple[int, int, list[Composition]]:
             f"class {d} of n={n}: base class {d[r:]} of "
             f"n={n - 2 * r}, m={base_m} missing"
         )
-    head = (s, 0) * r
-    return r, chain_length(n, d), [head + b for b in base]
+    return r, chain_length(n, d), [section(b, r, s) for b in base]
+
+
+def section(b: Composition, r: int, s: int) -> Composition:
+    """Prepend r blocks (s, 0): the order-preserving section of the projection
+    remove_maximal_pairs().  Needs s > spread(b), or s == spread(b) for a b
+    of at most one entry (the leading run absorbs it); r = 0 returns b."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if r == 0:
+        return b
+    if s < spread(b) + (len(b) >= 2):
+        raise ValueError(f"section needs s > spread({b}) = {spread(b)}")
+    return (s, 0) * r + b
+
+
+def _leading_chain(x, top):
+    """(top, colors read downward) of the chain at x's leading pair, which
+    must be maximal in x, a point of the fiber from the section image top."""
+    if x[0] + x[1] != spread(x):
+        raise InconsistencyError(f"leading pair of {x} is not maximal "
+                                 f"inside the fiber from {top}")
+    chain_top, up = _raise_path(x, 0)
+    return chain_top, tuple(up + _lower_path(x, 0))
 
 
 def _fiber_points(top, r, ell):
     """Every point of the fiber below the section image top, in colex order
-    of its coordinates lam, the weakly increasing vectors in [0, ell]^r.
-
-    lam[-1] varies slowest, and the point at lam is structure.fiber_element
-    of lam.  The chain at top's leading pair holds the points for lam[-1] =
-    0..ell; from the point for lam[k] = j, the chain at its leading pair
-    holds those for lam[k-1] = 0..j, so only its first j + 1 elements are
-    built, and they are pushed in reverse to be walked in order.  A walked
-    chain whose leading pair is not maximal, or whose length is not ell,
-    raises InconsistencyError.
+    of its coordinates lam, the weakly increasing vectors in [0, ell]^r
+    (lam[-1] varies slowest).  The chain at top's leading pair holds the
+    points for lam[-1] = 0..ell; from the point for lam[k] = j, the chain
+    at its leading pair holds those for lam[k-1] = 0..j, so only its first
+    j + 1 elements are built, pushed in reverse to be walked in order.
+    A walked chain whose length is not ell raises InconsistencyError.
     """
     points = []
     todo = [(top, r, ell)]
     while todo:
         x, level, j = todo.pop()
-        if x[0] + x[1] != spread(x):
-            raise InconsistencyError(
-                f"leading pair of {x} is not maximal inside the fiber from {top}"
-            )
-        chain_top, up = _raise_path(x, 0)
-        colors = up + _lower_path(x, 0)
+        chain_top, colors = _leading_chain(x, top)
         if len(colors) != ell:
             raise InconsistencyError(
                 f"chain of length {len(colors)} != {ell} inside fiber from {top}"
@@ -279,6 +292,13 @@ def _fiber_points(top, r, ell):
     return points
 
 
+def _fiber_position(e):
+    """The index in _fiber_points' order of the point with coordinates
+    lam = from_gaps(e), for e in the (r, ell) poset: the combinatorial
+    number system's sum of comb(lam[k] + k, k + 1)."""
+    return sum(comb(x + k, k + 1) for k, x in enumerate(from_gaps(e)))
+
+
 def clear_caches() -> None:
     """Drop every per-poset memo: signatures and classes.  qpoly.gaussian's
     stays, as it is keyed by box (one entry serves (m, n) and (n, m)),
@@ -289,12 +309,19 @@ def clear_caches() -> None:
 
 def signature_class(n: int, d: Signature) -> tuple[Composition, ...]:
     """All compositions of the (n, implied-mass) poset with signature d."""
+    return signature_classes(n, _class_mass(n, d))[tuple(d)]
+
+
+def _class_mass(n, d):
+    """The mass of the class (n, d); ValueError for an n or d it cannot have."""
     m = signature_mass(d)
     if n >= 0 and len(d) != n // 2 + 1:
         raise ValueError(f"signature {d} has wrong length for n={n}")
     if any(dj < 0 for dj in d):
         raise ValueError(f"signature {d} has a negative entry")
-    return signature_classes(n, m)[tuple(d)]
+    if n < -1:
+        raise ValueError("n must be >= -1")
+    return m
 
 
 def highest_weight(n: int, d: Signature) -> Composition:

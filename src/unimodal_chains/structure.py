@@ -3,24 +3,19 @@
 Each signature class projects onto a smaller class by maximal-pair
 removal; prepending spread-sized blocks is a section of the projection,
 and every fiber is order-isomorphic to a small Young's lattice whose
-coordinates count the covers of transversal's raising walk.
-fiber_element walks one point of a fiber down from its section image.
-Iterating this picture decomposes the whole composition poset into
-saturated chains whose per-length tops are centered and unimodal, which
-is exactly the unimodality certificate.  The decomposition takes each
-class's r, ell and section images, its fibers' tops, from
-statistics.split_step, which writes them from the memoized base class,
-and reads each fiber from statistics._fiber_points, the walk that built
-the class; it classifies the base posets, not the poset it decomposes
-(n >= 1).  It keeps no memo across calls; the ones it reads live in
-statistics, beside clear_caches().  This module only constructs;
-oracle.verify_split_extension checks it.
+coordinates count the covers of transversal's raising walk.  Iterating
+this picture decomposes the whole composition poset into saturated
+chains whose per-length tops are centered and unimodal, which is exactly
+the unimodality certificate.  Each step of the forward fiber map (section
+images, the chain at a point's leading pair, colex positions) is read
+from its one writer in statistics.  The decomposition classifies the base
+posets, not the poset it decomposes, and keeps no memo across calls.
+This module only constructs; oracle.verify_split_extension checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .posets import (
     Composition,
@@ -29,43 +24,27 @@ from .posets import (
     check_poset_size,
     cover_color,
     count_compositions,
-    from_gaps,
     rank,
     weight,
 )
 from .qpoly import gaussian, is_unimodal
 from .statistics import (
     Signature,
+    _class_mass,
     _components,
     _fiber_points,
+    _fiber_position,
+    _leading_chain,
     _remove_runs,
     _runs_degree,
     chain_length,
     enumerate_signatures,
     remove_maximal_pairs,
+    section,
     signature,
-    signature_class,
     split_step,
-    spread,
 )
-from .transversal import Chain, flip_chain, transversal_chain
-
-
-def section(b: Composition, r: int, s: int) -> Composition:
-    """Prepend r blocks (s, 0); the order-preserving section of the projection
-    remove_maximal_pairs().
-
-    Requires s > spread(b) so the prepended blocks carry the maximal
-    pairs, or s == spread(b) for a b of at most one entry, whose spread
-    is its mass and which the leading run absorbs; r = 0 returns b.
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if r == 0:
-        return b
-    if s < spread(b) or (s == spread(b) and len(b) >= 2):
-        raise ValueError(f"section needs s > spread({b}) = {spread(b)}")
-    return (s, 0) * r + b
+from .transversal import Chain, flip_chain
 
 
 def first_coordinate_closed_form(a: Composition) -> int:
@@ -115,18 +94,21 @@ def fiber_coordinates(a: Composition, b: Composition) -> tuple[int, ...]:
 
 def fiber_element(lam: tuple[int, ...], b: Composition, s: int) -> Composition:
     """Inverse of fiber_coordinates: from the section image, take lam[-1]
-    steps down the transversal chain at its leading pair, then lam[-2]
-    down the next element's chain, and so on to lam[0]."""
+    steps down the chain at its leading pair, then lam[-2] down the next
+    element's, and so on to lam[0].  An empty lam needs a b of at most
+    one entry, as a b with a maximal pair is no element of degree 0."""
     if any(x > y for x, y in zip(lam, lam[1:])) or any(x < 0 for x in lam):
         raise ValueError(f"coordinates {lam} not weakly increasing and nonnegative")
-    x = section(tuple(b), len(lam), s)
+    if not lam and len(b) >= 2:
+        raise ValueError(f"{b} has a maximal pair, so its fiber needs coordinates")
+    top = x = section(tuple(b), len(lam), s)
     for steps in reversed(lam):
-        ch = transversal_chain(x, 0)
-        if steps > ch.length:
-            raise ValueError(f"coordinate {steps} exceeds chain length {ch.length}")
-        x = Chain(ch.top, ch.colors[:steps]).bottom()
-    if remove_maximal_pairs(x) != tuple(b):
-        raise InconsistencyError(f"rebuilt element {x} does not project to {b}")
+        chain_top, colors = _leading_chain(x, top)
+        if steps > len(colors):
+            raise ValueError(f"coordinate {steps} exceeds chain length {len(colors)}")
+        x = Chain(chain_top, colors[:steps]).bottom()
+    if (image := remove_maximal_pairs(x)) != tuple(b):
+        raise InconsistencyError(f"rebuilt element {x} projects to {image}, not {b}")
     return x
 
 
@@ -152,46 +134,38 @@ class Decomposition:
 def decompose_class(n: int, d: Signature) -> list[Chain]:
     """Partition one signature class into saturated chains.
 
-    Transversal fibers do the job when the class's degree is 1; for
-    degree r >= 2 the fibers are coordinate lattices, so the recursive
-    decomposition of the matching composition poset is transported
-    through the coordinate maps.  Length-0 classes fall apart into
-    singletons.  The class is listed first, which validates d and runs
-    the size guards of its poset.
+    d is checked as signature_class checks it and the size guards of its
+    poset run; the class is then decomposed from its split step, as in
+    decompose_all, without classifying its poset.
     """
     d = tuple(d)
-    signature_class(n, d)
+    check_poset_size(n, _class_mass(n, d))
     return list(_class_decomposition(n, d, {}).chains)
 
 
 def _class_decomposition(
     n: int, d: Signature, sub_chains: dict
 ) -> ClassDecomposition:
-    """decompose_class of the class (n, d), built from its split step.
+    """The chains of the class (n, d), built from its split step.
 
     The class itself is not read: split_step gives r, ell and its
-    fibers' tops, the section images over its base class (for n == 1,
-    the one element () of the (-1, 0) poset); _indexed rejects the
-    decomposition if they were wrong.  A class of transversal length 0
-    is its tops as one-point chains.  sub_chains maps (r, ell) to each
-    (r, ell) chain's positions in _fiber_points' order; decompose_all
-    shares it among its classes, so each (r, ell) poset is decomposed
-    once per call.
+    fibers' tops (for n == 1, over the one element () of the (-1, 0)
+    poset); _indexed rejects the decomposition if they were wrong.  Of
+    transversal length 0 the class is its tops as one-point chains, of
+    degree 1 the chains at its tops' leading pairs.  Of degree r >= 2
+    each fiber is a copy of L(r, ell), and decompose_all(r, ell)'s chains
+    are carried over as _fiber_position lists, kept in sub_chains, which
+    decompose_all shares so each (r, ell) poset is decomposed once.
     """
     r, ell, tops = split_step(n, d)
     if ell == 0:
         return ClassDecomposition(d, r, ell, tuple(Chain(top, ()) for top in tops))
     if r == 1:
-        chains = [transversal_chain(top, 0) for top in tops]
+        chains = [Chain(*_leading_chain(top, top)) for top in tops]
     else:
         if (r, ell) not in sub_chains:
-            # each chain's coordinates lam at their colex rank, the
-            # combinatorial number system's sum of comb(lam[k] + k, k + 1)
-            sub_chains[r, ell] = [
-                [sum(comb(x + k, k + 1) for k, x in enumerate(from_gaps(e)))
-                 for e in ch.elements()]
-                for ch in decompose_all(r, ell).chains()
-            ]
+            sub_chains[r, ell] = [list(map(_fiber_position, ch.elements()))
+                                  for ch in decompose_all(r, ell).chains()]
         chains = []
         for top in tops:
             points = _fiber_points(top, r, ell)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -182,6 +183,25 @@ def test_decompose_dot_path_graph(capsys):
     assert out.count("[label=") == 5
     assert out.count("style=bold") == 4
     assert "digraph" in out
+
+
+def test_decompose_dot_marks_chain_and_non_chain_edges(capsys):
+    # (3, 3): 20 elements on 3 chains, so 17 of its 30 Hasse edges are bold
+    # chain edges, each labelled with the chain of both its endpoints
+    from unimodal_chains.posets import parse_composition
+    from unimodal_chains.structure import decompose_all
+
+    code, out = run(capsys, "decompose", "--n", "3", "--m", "3", "--format", "dot")
+    assert code == 0
+    edges = [line for line in out.splitlines() if " -> " in line]
+    bold = [line for line in edges if "style=bold" in line]
+    dashed = [line for line in edges if "style=dashed, color=gray" in line]
+    assert (len(edges), len(bold), len(dashed)) == (30, 17, 13)
+    index = decompose_all(3, 3).index
+    for line in bold:
+        low, high, chain = re.fullmatch(
+            r'  "(\[.*\])" -> "(\[.*\])" \[chain=(\d+), style=bold\];', line).groups()
+        assert index[parse_composition(low)] == index[parse_composition(high)] == int(chain)
 
 
 def test_decompose_lengths_reproduce_gaussian(capsys):

@@ -152,12 +152,38 @@ def _reads_class_degree(node):
 
 
 def test_only_the_split_step_writes_a_class_s_r_and_section_images():
-    # one split step for the library and the CLI; structure.section serves
-    # fiber_element, and the oracle keeps its own route on purpose
+    # one split step for the library and the CLI, whose section images and
+    # fiber_element's have one writer; the oracle keeps its own route
     library = ("statistics.py", "structure.py", "cli.py")
-    assert _where(library, _writes_section_head) == {
-        ("statistics.py", "split_step"), ("structure.py", "section")}
+    assert _where(library, _writes_section_head) == {("statistics.py", "section")}
     assert _where(library, _reads_class_degree) == {("statistics.py", "split_step")}
     # the oracle's own route is still there to check it
     assert ("oracle.py", "verify_split_extension") in _where(
         ["oracle.py"], _writes_section_head) & _where(["oracle.py"], _reads_class_degree)
+
+
+def test_the_private_names_each_module_imports_are_pinned():
+    # an underscore name read across modules couples them to an internal;
+    # a new coupling is a design change to pin here, not one to pass
+    # unnoticed.  structure reads the forward fiber map's one writer per
+    # step from statistics; the oracle and transversal read the walks.
+    private = {
+        p.name: {
+            (node.module, alias.name)
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        for p in PACKAGE.glob("*.py")
+    }
+    walks = {("posets", "_lower_path"), ("posets", "_raise_path")}
+    assert {name: names for name, names in private.items() if names} == {
+        "oracle.py": walks | {("statistics", "_components")},
+        "statistics.py": walks,
+        "structure.py": {("posets", "_raise_path")} | {
+            ("statistics", name) for name in (
+                "_class_mass", "_components", "_fiber_points", "_fiber_position",
+                "_leading_chain", "_remove_runs", "_runs_degree")},
+        "transversal.py": walks | {("statistics", "_components")},
+    }

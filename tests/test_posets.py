@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -79,6 +80,15 @@ def test_conjugate_involution(parts, extra):
     bound = (parts[-1] if parts else 0) + extra
     other = posets.conjugate(parts, bound)
     assert posets.conjugate(other, len(parts)) == parts
+
+
+@pytest.mark.parametrize("encode, parts", [
+    (posets.to_counts, (-1,)), (posets.conjugate, (-1, 2)), (posets.to_gaps, (-1,))])
+def test_a_negative_part_is_named(encode, parts):
+    with pytest.raises(ValueError, match=re.escape(f"negative part -1 in {parts}")):
+        encode(parts, 3)
+    with pytest.raises(ValueError, match=r"parts not weakly increasing: \(2, 1\)"):
+        encode((2, 1), 3)
 
 
 def test_gaps_examples():

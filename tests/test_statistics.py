@@ -207,8 +207,12 @@ def test_degree_formula_boundary_case():
 
 
 def test_signature_class_wrong_length_rejected():
-    with pytest.raises(ValueError):
-        signature_class(4, (1, 0))
+    # decompose_class checks n and d as signature_class does, with its messages
+    for call in (signature_class, decompose_class):
+        with pytest.raises(ValueError, match=re.escape("(1, 0) has wrong length")):
+            call(4, (1, 0))
+        with pytest.raises(ValueError, match=r"^n must be >= -1$"):
+            call(-2, ())
 
 
 def test_signature_with_a_negative_entry_is_refused():

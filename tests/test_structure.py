@@ -112,6 +112,20 @@ def test_fiber_element_examples():
     # the chain from the section image (2, 0, 0) has length 4
     with pytest.raises(ValueError, match=r"^coordinate 5 exceeds chain length 4$"):
         fiber_element((5,), (0,), 2)
+    # no coordinates: the element is its base, which has degree 0 only
+    # when it has no maximal pair
+    assert fiber_element((), (5,), 2) == (5,)
+    with pytest.raises(ValueError, match=r"^\(1, 1\) has a maximal pair"):
+        fiber_element((), (1, 1), 5)
+
+
+def test_fiber_element_names_the_projection_it_rebuilt(monkeypatch):
+    from unimodal_chains import structure
+
+    monkeypatch.setattr(structure, "remove_maximal_pairs", lambda a: a[2:] + (1,))
+    message = r"^rebuilt element \(0, 1, 1\) projects to \(1, 1\), not \(0,\)$"
+    with pytest.raises(InconsistencyError, match=message):
+        fiber_element((3,), (0,), 2)
 
 
 def test_fiber_map_refuses_a_chain_of_the_wrong_length():
@@ -415,7 +429,8 @@ def test_degree_is_constant_on_every_class_of_the_sweep():
 
 
 def _from_gaps_calls(n, m):
-    """from_gaps calls of decompose_all(n, m), with the coordinates mapped
+    """from_gaps calls of decompose_all(n, m), all of them through
+    statistics._fiber_position, with the coordinates mapped
     once per distinct (r, ell) and with them mapped again for every class
     and base element.  Each (r, ell) of degree r >= 2 maps the
     comb(r + ell, r) elements of the (r, ell) poset's chains, and
@@ -436,16 +451,16 @@ def _from_gaps_calls(n, m):
 
 
 def test_decompose_all_maps_each_sub_chain_to_coordinates_once(monkeypatch):
-    from unimodal_chains import structure
+    from unimodal_chains import statistics
 
     calls = []
-    real = structure.from_gaps
+    real = statistics.from_gaps
 
     def spy(comp):
         calls.append(comp)
         return real(comp)
 
-    monkeypatch.setattr(structure, "from_gaps", spy)
+    monkeypatch.setattr(statistics, "from_gaps", spy)
     once, per_base = _from_gaps_calls(9, 9)
     decompose_all(9, 9)
     assert len(calls) == once < per_base
@@ -501,6 +516,32 @@ def test_decompose_all_never_classifies_its_own_poset(monkeypatch):
     finally:
         statistics.clear_caches()
     assert len(dec.index) == count_compositions(9, 9)
+
+
+def test_decompose_class_never_classifies_its_poset(monkeypatch):
+    # d is checked and the size guards run, but each class comes from its
+    # split step, as in decompose_all, which gives it the same chains
+    from unimodal_chains import statistics, structure
+    from unimodal_chains.statistics import enumerate_signatures
+
+    real = statistics.signature_classes
+    calls = []
+
+    def spy(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    statistics.clear_caches()
+    monkeypatch.setattr(statistics, "signature_classes", spy)
+    monkeypatch.setattr(structure, "signature_classes", spy, raising=False)
+    try:
+        chains = {d: decompose_class(9, d) for d in enumerate_signatures(9, 9)}
+        monkeypatch.undo()
+        assert calls and (9, 9) not in calls
+        dec = decompose_all(9, 9)
+    finally:
+        statistics.clear_caches()
+    assert chains == {cd.signature: list(cd.chains) for cd in dec.classes}
 
 
 @pytest.mark.parametrize("n, m, flat", [(6, 6, []), (6, 8, [(0, 0, 0, 2)])])
@@ -600,8 +641,10 @@ def test_decompose_all_classifies_only_the_base_posets_of_the_posets_it_decompos
 def test_fiber_points_are_the_coordinate_maps_images():
     # statistics walks each fiber whole; its i-th point is fiber_element's
     # image of the i-th weakly increasing coordinate vector in [0, ell]^r,
-    # in colex order (the last coordinate varies slowest)
+    # in colex order (the last coordinate varies slowest), and i is the
+    # _fiber_position of the vector's element of the (r, ell) poset
     from unimodal_chains import statistics
+    from unimodal_chains.posets import to_gaps
     from unimodal_chains.oracle import sweep_pairs
     from unimodal_chains.statistics import highest_weight
 
@@ -618,8 +661,9 @@ def test_fiber_points_are_the_coordinate_maps_images():
             for b in signature_class(n - 2 * r, d[r:]):
                 points = statistics._fiber_points(section(b, r, s), r, ell)
                 assert len(points) == len(order) == comb(r + ell, r)
-                for lam, point in zip(order, points):
+                for i, (lam, point) in enumerate(zip(order, points)):
                     assert point == fiber_element(lam, b, s), (n, d, b, lam)
+                    assert statistics._fiber_position(to_gaps(lam, ell)) == i
                 fibers += 1
     assert fibers == 689
     statistics.clear_caches()
