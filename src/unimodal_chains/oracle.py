@@ -262,8 +262,10 @@ def check_statistics(n: int, m: int) -> VerificationReport:
     order_ind = CheckResult("removal_order_independence")
 
     classes = signature_classes(n, m)
-    # (spread, degree, removal image, signature) of each element, in order
+    # (spread, degree, removal image, signature) of each element, in order;
+    # equal removal images share one tuple
     stats: dict = {}
+    images: dict = {}
     total = 0
     census = []
     spread_boundary = []
@@ -274,6 +276,7 @@ def check_statistics(n: int, m: int) -> VerificationReport:
         s = spread(comp)
         r = degree(comp)
         image = remove_maximal_pairs(comp)
+        image = images.setdefault(image, image)
         stats[comp] = (s, r, image, d)
         if n >= 1:
             ps, pd = spread_degree_via_partition(comp)

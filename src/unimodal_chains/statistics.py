@@ -42,22 +42,41 @@ def spread(comp: Composition) -> int:
     return max(map(add, comp, comp[1:]))
 
 
-def _components(comp):
+def _scan(comp):
     """Spread plus the maximal runs of left indices of maximal pairs."""
     if len(comp) < 2:
-        return spread(comp), []
+        return spread(comp), ()
     sums = list(map(add, comp, comp[1:]))
     s = max(sums)
-    runs = []
+    runs = ()
     start = end = sums.index(s)
     for _ in range(sums.count(s) - 1):
         i = sums.index(s, end + 1)
         if i != end + 1:
-            runs.append((start, end))
+            runs += ((start, end),)
             start = i
         end = i
-    runs.append((start, end))
-    return s, runs
+    return s, runs + ((start, end),)
+
+
+_scans = {}  # element -> its _scan, for one poset at a time
+_scan_results = {}  # each distinct scan, so equal entries share one object
+
+
+def _components(comp):
+    """_scan(comp), memoized per element until clear_caches().
+
+    The library's steps and the oracle's scopes read every element's
+    scan here, so run_pair scans each element once.  Two callers scan
+    through _scan itself: signature, whose own memo holds each removal
+    step already, and chains_through, whose lone queries would each
+    pay for an entry.
+    """
+    found = _scans.get(comp)
+    if found is None:
+        found = _scan(comp)
+        found = _scans[comp] = _scan_results.setdefault(found, found)
+    return found
 
 
 @dataclass(frozen=True)
@@ -72,7 +91,7 @@ def maximal_structure(comp: Composition) -> MaximalStructure:
     s, runs = _components(comp)
     mset = tuple(i for start, end in runs for i in range(start, end + 1))
     active = tuple(i for start, end in runs for i in range(start, end + 2))
-    return MaximalStructure(s, mset, tuple(runs), active)
+    return MaximalStructure(s, mset, runs, active)
 
 
 def degree(comp: Composition) -> int:
@@ -128,7 +147,7 @@ def signature(comp: Composition) -> Signature:
     m = sum(comp)
     if n <= 1:
         return (m,)
-    s, runs = _components(comp)
+    s, runs = _scan(comp)
     r = _runs_degree(runs)
     image = _remove_runs(comp, runs)
     d = (0,) * (r - 1) + (s - spread(image),) + signature(image)
@@ -300,9 +319,12 @@ def _fiber_position(e):
 
 
 def clear_caches() -> None:
-    """Drop every per-poset memo: signatures and classes.  qpoly.gaussian's
-    stays, as it is keyed by box (one entry serves (m, n) and (n, m)),
-    shared across posets and read by perfbench."""
+    """Drop every per-poset memo: maximal-pair scans, signatures and
+    classes.  qpoly.gaussian's stays, as it is keyed by box (one entry
+    serves (m, n) and (n, m)), shared across posets and read by
+    perfbench."""
+    _scans.clear()
+    _scan_results.clear()
     signature.cache_clear()
     signature_classes.cache_clear()
 
@@ -315,7 +337,7 @@ def signature_class(n: int, d: Signature) -> tuple[Composition, ...]:
 def _class_mass(n, d):
     """The mass of the class (n, d); ValueError for an n or d it cannot have."""
     m = signature_mass(d)
-    if n >= 0 and len(d) != n // 2 + 1:
+    if n >= -1 and len(d) != n // 2 + 1:
         raise ValueError(f"signature {d} has wrong length for n={n}")
     if any(dj < 0 for dj in d):
         raise ValueError(f"signature {d} has a negative entry")

@@ -30,7 +30,7 @@ from .posets import (
     _raise_path,
     walk_down,
 )
-from .statistics import _components, spread
+from .statistics import _scan, spread
 
 
 def is_initial(comp: Composition) -> bool:
@@ -114,8 +114,11 @@ def transversal_chain(comp: Composition, i: int) -> Chain:
 
 
 def chains_through(comp: Composition) -> list[Chain]:
-    """One transversal chain per component of the maximal index set."""
-    _, runs = _components(comp)
+    """One transversal chain per component of the maximal index set.
+
+    Scans comp with the raw _scan, not the per-poset memo, so a lone
+    query pays for no memo entry."""
+    _, runs = _scan(comp)
     return [transversal_chain(comp, start) for start, _ in runs]
 
 

@@ -185,5 +185,55 @@ def test_the_private_names_each_module_imports_are_pinned():
             ("statistics", name) for name in (
                 "_class_mass", "_components", "_fiber_points", "_fiber_position",
                 "_leading_chain", "_remove_runs", "_runs_degree")},
-        "transversal.py": walks | {("statistics", "_components")},
+        "transversal.py": walks | {("statistics", "_scan")},
     }
+
+
+def _module_level_memos():
+    """{(module, name): memo} for every memo a package module defines at
+    module level: each function wrapped by functools.cache or lru_cache,
+    and each dict bound by a top-level assignment (the package keeps no
+    constant tables in dicts, so a module-level dict is a memo)."""
+    import importlib
+
+    memos = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"unimodal_chains.{path.stem}")
+        assigned = {
+            target.id
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        for name, value in vars(module).items():
+            cached = (hasattr(value, "cache_clear")
+                      and getattr(value, "__module__", None) == module.__name__)
+            if cached or (name in assigned and isinstance(value, dict)):
+                memos[path.stem, name] = value
+    return memos
+
+
+def test_clear_caches_empties_every_module_level_memo(monkeypatch):
+    # one cache policy: every memo holds one poset at a time and
+    # clear_caches() drops it.  Kept: gaussian's, keyed by box and shared
+    # across posets, and the CLI's parser, built once per process.
+    from unimodal_chains import statistics
+
+    kept = {("qpoly", "gaussian"), ("cli", "build_parser")}
+    memos = _module_level_memos()
+    assert set(memos) == kept | {
+        ("statistics", name)
+        for name in ("_scans", "_scan_results", "signature", "signature_classes")
+    }
+    dicts = {key: memo for key, memo in memos.items() if isinstance(memo, dict)}
+    for key, memo in dicts.items():
+        memo[key] = memo  # any entry: the memo must come back empty
+    cleared = []
+    for key in set(memos) - kept - set(dicts):
+        real = memos[key].cache_clear
+        monkeypatch.setattr(memos[key], "cache_clear",
+                            lambda key=key, real=real: cleared.append(key) or real())
+    statistics.clear_caches()
+    assert [key for key, memo in dicts.items() if memo.pop(key, None) is not None] == []
+    assert sorted(cleared) == sorted(set(memos) - kept - set(dicts))

@@ -211,6 +211,10 @@ def test_signature_class_wrong_length_rejected():
     for call in (signature_class, decompose_class):
         with pytest.raises(ValueError, match=re.escape("(1, 0) has wrong length")):
             call(4, (1, 0))
+        # the empty composition's signature is (), so n = -1 takes no entry
+        for d in ((0,), (0, 0)):
+            with pytest.raises(ValueError, match=re.escape(f"{d} has wrong length")):
+                call(-1, d)
         with pytest.raises(ValueError, match=r"^n must be >= -1$"):
             call(-2, ())
 
@@ -285,7 +289,8 @@ def test_fast_statistics_match_definition_over_the_sweep():
     memo: dict = {}
     for comp in comps:
         s, runs, r, image, d = _from_definition(comp, memo)
-        assert statistics._components(comp) == (s, runs), comp
+        assert statistics._scan(comp) == (s, tuple(runs)), comp
+        assert statistics._components(comp) == (s, tuple(runs)), comp
         assert spread(comp) == s, comp
         assert degree(comp) == r, comp
         assert remove_maximal_pairs(comp) == image, comp
@@ -306,7 +311,7 @@ def test_signature_scans_each_step_once(monkeypatch):
                 todo.append(remove_maximal_pairs(comp))
     steps = [comp for comp in reached if len(comp) >= 3]
 
-    real = statistics._components
+    real = statistics._scan
     calls = []
 
     def spy(comp):
@@ -314,12 +319,49 @@ def test_signature_scans_each_step_once(monkeypatch):
         return real(comp)
 
     statistics.clear_caches()
-    monkeypatch.setattr(statistics, "_components", spy)
+    monkeypatch.setattr(statistics, "_scan", spy)
     for comp in enumerate_compositions(n, m):
         signature(comp)
     assert signature.cache_info().misses == len(reached)
     assert Counter(calls) == Counter(steps)
     assert len(calls) > posets.count_compositions(n, m)
+
+
+def test_signature_leaves_the_scan_memo_empty():
+    # signature's own memo holds each removal step, so it scans through
+    # the raw _scan and stores no image twice
+    statistics.clear_caches()
+    for n, m in [(0, 3), (1, 4), (5, 5), (6, 6)]:
+        for comp in enumerate_compositions(n, m):
+            signature(comp)
+    assert signature.cache_info().currsize > 0
+    assert statistics._scans == {} and statistics._scan_results == {}
+    statistics.clear_caches()
+
+
+def test_run_pair_scans_each_element_once_through_the_memo(monkeypatch):
+    # the library's steps and the oracle's scopes read each element's scan
+    # from the one memo; signature's steps and chains_through call _scan
+    # directly and are not counted
+    import sys
+
+    from unimodal_chains import oracle
+
+    real = statistics._scan
+    memoized = statistics._components.__code__
+    calls = []
+
+    def spy(comp):
+        if sys._getframe(1).f_code is memoized:
+            calls.append(comp)
+        return real(comp)
+
+    statistics.clear_caches()
+    monkeypatch.setattr(statistics, "_scan", spy)
+    oracle.run_pair(6, 6)
+    assert len(calls) == len(set(calls)) >= posets.count_compositions(6, 6)
+    # run_pair emptied the memo after the poset
+    assert statistics._scans == {} and statistics._scan_results == {}
 
 
 def test_classes_match_each_elements_own_signature():
