@@ -21,8 +21,9 @@ element reads the answer: check_statistics records each element's
 spread, degree, removal image and signature, checks that signature
 against the element's class (signature_classes builds each class from
 its base class's fibers and computes one signature per class, so this
-check takes a route the classification does not share), compares the flip's recorded image with the flipped
-one, and lists in empty_class_census each signature of its own
+check takes a route the classification does not share), compares the
+flip's recorded image with the flipped one and its recorded signature
+with the element's, and lists in empty_class_census each signature of its own
 enumerate_signatures call that the classification has no class for;
 verify_split_extension lists each class element's in-class upper covers
 once.  Each check is one CheckResult; failures are recorded with
@@ -285,8 +286,6 @@ def check_statistics(n: int, m: int) -> VerificationReport:
                     {"element": comp, "a_side": (s, r), "partition_side": (ps, pd),
                      "repro": _repro(comp)}
                 )
-        if signature(flip(comp)) != d:
-            flip_sig.add({"element": comp, "repro": _repro(comp)})
         if (
             len(d) != k + 1
             or signature_mass(d) != m
@@ -303,9 +302,12 @@ def check_statistics(n: int, m: int) -> VerificationReport:
             formula_r = 1 + min(j for j, dj in enumerate(d) if dj > 0)
             if formula_r != r:
                 census.append(comp)
-    for comp, (_, _, image, _) in stats.items():
-        # the flip's record holds remove_maximal_pairs(flip(comp))
+    for comp, (_, _, image, d) in stats.items():
+        # the flip's record holds remove_maximal_pairs(flip(comp)) and
+        # signature(flip(comp))
         flipped = stats.get(flip(comp))
+        if flipped is None or flipped[3] != d:
+            flip_sig.add({"element": comp, "repro": _repro(comp)})
         if flipped is None or flipped[2] != flip(image):
             flip_removal.add({"element": comp, "repro": _repro(comp)})
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 import sys
 from math import comb
-from operator import mul
+from operator import mul, sub
 from typing import Iterator
 
 Composition = tuple  # (a_0, ..., a_n), entries >= 0
@@ -184,16 +184,17 @@ def cover_color(lower: Composition, upper: Composition) -> int | None:
     """Color of the Hasse edge from lower to upper, or None.
 
     Color c in 1..n means upper is lower with one unit moved from entry
-    c-1 to entry c (rank goes up by one, weight down by two).
+    c-1 to entry c (rank goes up by one, weight down by two): the
+    entrywise difference upper - lower is zero but for a -1 at c-1 and a
+    1 at c, found by one C-level map and its count and index.
     """
     if len(lower) != len(upper):
         raise ValueError(f"dimension mismatch: {len(lower)} vs {len(upper)}")
-    diff = [i for i, (a, b) in enumerate(zip(lower, upper)) if a != b]
-    if len(diff) != 2 or diff[1] != diff[0] + 1:
-        return None
-    i = diff[0]
-    if upper[i] == lower[i] - 1 and upper[i + 1] == lower[i + 1] + 1:
-        return i + 1
+    diff = list(map(sub, upper, lower))
+    if diff.count(0) == len(diff) - 2 and -1 in diff:
+        i = diff.index(-1)
+        if diff[i + 1:i + 2] == [1]:
+            return i + 1
     return None
 
 

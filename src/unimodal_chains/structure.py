@@ -16,6 +16,7 @@ This module only constructs; oracle.verify_split_extension checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, islice, repeat
 
 from .posets import (
     Composition,
@@ -140,44 +141,50 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
     """
     d = tuple(d)
     check_poset_size(n, _class_mass(n, d))
-    return list(_class_decomposition(n, d, {}).chains)
+    return list(_class_decomposition(n, d, {})[0].chains)
 
 
-def _class_decomposition(
-    n: int, d: Signature, sub_chains: dict
-) -> ClassDecomposition:
-    """The chains of the class (n, d), built from its split step.
+def _class_decomposition(n: int, d: Signature, sub_chains: dict):
+    """The chains of the class (n, d), built from its split step, and the
+    element list of each: (ClassDecomposition, walks).
 
     The class itself is not read: split_step gives r, ell and its
     fibers' tops (for n == 1, over the one element () of the (-1, 0)
     poset); _indexed rejects the decomposition if they were wrong.  Of
     transversal length 0 the class is its tops as one-point chains, of
-    degree 1 the chains at its tops' leading pairs.  Of degree r >= 2
-    each fiber is a copy of L(r, ell), and decompose_all(r, ell)'s chains
-    are carried over as _fiber_position lists, kept in sub_chains, which
-    decompose_all shares so each (r, ell) poset is decomposed once.
+    degree 1 the chains at its tops' leading pairs; their walks are read
+    one chain at a time.  Of degree r >= 2 each fiber is a copy of
+    L(r, ell), and decompose_all(r, ell)'s chains are carried over as
+    _fiber_position lists, read from its index rather than walked again,
+    kept in sub_chains, which decompose_all shares so each (r, ell) poset
+    is decomposed once; the fiber points each list picks are its chain's
+    elements, the chain's walk.
     """
     r, ell, tops = split_step(n, d)
-    if ell == 0:
-        return ClassDecomposition(d, r, ell, tuple(Chain(top, ()) for top in tops))
-    if r == 1:
-        chains = [Chain(*_leading_chain(top, top)) for top in tops]
-    else:
-        if (r, ell) not in sub_chains:
-            sub_chains[r, ell] = [list(map(_fiber_position, ch.elements()))
-                                  for ch in decompose_all(r, ell).chains()]
-        chains = []
-        for top in tops:
-            points = _fiber_points(top, r, ell)
-            for positions in sub_chains[r, ell]:
-                images = [points[i] for i in positions]
-                colors = tuple(map(cover_color, images, images[1:]))
-                if None in colors:
-                    low, high = images[colors.index(None):][:2]
-                    raise InconsistencyError(
-                        f"transported chain not saturated at {low} -> {high}")
-                chains.append(Chain(images[0], colors))
-    return ClassDecomposition(d, r, ell, tuple(chains))
+    if ell == 0 or r == 1:
+        chains = tuple(Chain(*_leading_chain(top, top)) if ell else Chain(top, ())
+                       for top in tops)
+        return ClassDecomposition(d, r, ell, chains), map(Chain.elements, chains)
+    if (r, ell) not in sub_chains:
+        sub = decompose_all(r, ell)
+        walked = iter(sub.index)
+        sub_chains[r, ell] = [
+            list(map(_fiber_position, islice(walked, ch.length + 1)))
+            for ch in sub.chains()]
+    chains = []
+    walks = []
+    for top in tops:
+        points = _fiber_points(top, r, ell)
+        for positions in sub_chains[r, ell]:
+            images = tuple(map(points.__getitem__, positions))
+            colors = tuple(map(cover_color, images, images[1:]))
+            if None in colors:
+                low, high = images[colors.index(None):][:2]
+                raise InconsistencyError(
+                    f"transported chain not saturated at {low} -> {high}")
+            chains.append(Chain(images[0], colors))
+            walks.append(images)
+    return ClassDecomposition(d, r, ell, tuple(chains)), walks
 
 
 def decompose_all(n: int, m: int) -> Decomposition:
@@ -186,42 +193,67 @@ def decompose_all(n: int, m: int) -> Decomposition:
     Chains are grouped by signature class, in the enumerate_signatures
     order, each from its split step, so only the base posets of its
     classes are classified, not the poset itself (for n == 0 its one
-    class is its own base).  Its size guards run first.  Element
-    coverage and disjointness are checked and any defect is a hard
-    failure.
+    class is its own base).  Its size guards run first.  The index is
+    filled from the walks that built the chains, once every class is
+    built: chains made while the index grows would send each full
+    garbage collection through the whole index.  Element coverage and
+    disjointness are checked and any defect is a hard failure.
     """
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")
     check_poset_size(n, m)
     sub_chains: dict = {}
-    out = tuple(_class_decomposition(n, d, sub_chains)
-                for d in enumerate_signatures(n, m))
-    return _indexed(n, m, out)
+    built = [_class_decomposition(n, d, sub_chains)
+             for d in enumerate_signatures(n, m)]
+    return _indexed(n, m, built)
 
 
-def _indexed(n: int, m: int, classes) -> Decomposition:
+def _indexed(n: int, m: int, built) -> Decomposition:
     """The decomposition with its element-to-chain index.
 
-    Every element of the (n, m) poset must lie on exactly one chain; an
-    element of the wrong length or mass, one covered twice, or one left
-    uncovered is an InconsistencyError.  Color steps keep the length, the
-    mass and nonnegative entries, so checking each chain's top suffices.
+    built lists (ClassDecomposition, walks), walks the element list of
+    each of its chains in order, and the index is filled class by class
+    from them, so it lists each chain's elements in order, chain by
+    chain.  Every element of the (n, m) poset must lie on exactly one
+    chain; an element of the wrong length or mass, one covered twice, or
+    one left uncovered is an InconsistencyError.  Color steps keep the
+    length, the mass and nonnegative entries, so checking every chain's
+    top, before any walk is read, suffices.  Each chain enters the index
+    in one update, and a chain that adds fewer keys than it has elements
+    covers one twice.
     """
-    index: dict[Composition, int] = {}
-    for chain_id, ch in enumerate(ch for cd in classes for ch in cd.chains):
+    classes = tuple(cd for cd, _ in built)
+    chains = [ch for cd in classes for ch in cd.chains]
+    for ch in chains:
         top = ch.top
         if len(top) != n + 1 or sum(top) != m or min(top, default=0) < 0:
             raise InconsistencyError(f"chain top {top} is not in L({m},{n})")
-        for e in ch.elements():
-            if e in index:
-                raise InconsistencyError(f"element {e} covered twice")
-            index[e] = chain_id
+    index: dict[Composition, int] = {}
+    walked = (elements for _, walks in built for elements in walks)
+    for chain_id, elements in enumerate(walked):
+        size = len(index)
+        index.update(zip(elements, repeat(chain_id)))
+        if len(index) != size + len(elements):
+            twice = _first_covered(chains[:chain_id], elements)
+            raise InconsistencyError(f"element {twice} covered twice")
     total = count_compositions(n, m)
     if len(index) != total:
         raise InconsistencyError(
             f"decomposition covers {len(index)} of {total} elements"
         )
     return Decomposition(n=n, m=m, classes=classes, index=index)
+
+
+def _first_covered(chains, elements):
+    """The first of elements that lies on one of chains or before it in
+    elements: the element a chain walking elements would cover twice."""
+    seen = set()
+    for ch in chains:
+        seen.update(ch.elements())
+    for e in elements:
+        if e in seen:
+            return e
+        seen.add(e)
 
 
 def flip_stability(dec: Decomposition) -> tuple[bool, list[Chain]]:
@@ -263,17 +295,20 @@ def unimodality_certificate(dec: Decomposition) -> UnimodalityCertificate:
     Chains of one length are summarized by their multiset of top
     weights; each multiset must be symmetric about the length and
     unimodal, and stacking all chains must rebuild the exact rank
-    generating function.
+    generating function.  A chain is stacked from its top's rank and its
+    length alone, as two steps of a difference array over the ranks that
+    one running sum turns into the stacked histogram; no element is
+    walked.
     """
     by_length: dict[int, dict[int, int]] = {}
-    hist = [0] * (dec.m * dec.n + 1)
+    steps = [0] * (dec.m * dec.n + 2)
     for ch in dec.chains():
         top_w = weight(ch.top)
         counts = by_length.setdefault(ch.length, {})
         counts[top_w] = counts.get(top_w, 0) + 1
         base_rank = rank(ch.top)
-        for t in range(ch.length + 1):
-            hist[base_rank + t] += 1
+        steps[base_rank] += 1
+        steps[base_rank + ch.length + 1] -= 1
     symmetric = {}
     unimodal = {}
     for length, counts in by_length.items():
@@ -283,7 +318,7 @@ def unimodality_certificate(dec: Decomposition) -> UnimodalityCertificate:
         lo, hi = min(counts), max(counts)
         seq = [counts.get(w, 0) for w in range(lo, hi + 1, 2)]
         unimodal[length] = is_unimodal(tuple(seq))
-    reconstruction = tuple(hist)
+    reconstruction = tuple(accumulate(steps[:-1]))
     return UnimodalityCertificate(
         n=dec.n,
         m=dec.m,
@@ -322,4 +357,5 @@ def decomposition_from_dict(data: dict) -> Decomposition:
         )
         for cd in data["classes"]
     )
-    return _indexed(data["n"], data["m"], classes)
+    return _indexed(data["n"], data["m"],
+                    [(cd, map(Chain.elements, cd.chains)) for cd in classes])

@@ -22,6 +22,8 @@ steps in one buffer, and the bottom alone from the color counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 
 from .posets import (
     Composition,
@@ -109,6 +111,11 @@ def transversal_chain(comp: Composition, i: int) -> Chain:
     terminal one; comp sits where the two runs are glued.
     """
     _check_pair(comp, i)
+    return _glued_chain(comp, i)
+
+
+def _glued_chain(comp, i):
+    """transversal_chain(comp, i) for an i known to be a maximal pair."""
     top, up_colors = _raise_path(comp, i)
     return Chain(top, tuple(up_colors + _lower_path(comp, i)))
 
@@ -117,9 +124,10 @@ def chains_through(comp: Composition) -> list[Chain]:
     """One transversal chain per component of the maximal index set.
 
     Scans comp with the raw _scan, not the per-poset memo, so a lone
-    query pays for no memo entry."""
+    query pays for no memo entry; the scan's runs start at maximal
+    pairs, so no chain checks its pair again."""
     _, runs = _scan(comp)
-    return [transversal_chain(comp, start) for start, _ in runs]
+    return [_glued_chain(comp, start) for start, _ in runs]
 
 
 def closed_form_colors(comp: Composition) -> tuple[int, ...]:
@@ -157,6 +165,6 @@ def flip_chain(chain: Chain) -> Chain:
     reversed order; the element set is the entrywise flip of the
     original's.
     """
-    n = len(chain.top) - 1
     bottom = chain.bottom()
-    return Chain(bottom[::-1], tuple(n + 1 - c for c in reversed(chain.colors)))
+    return Chain(bottom[::-1],
+                 tuple(map(sub, repeat(len(chain.top)), reversed(chain.colors))))

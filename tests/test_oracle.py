@@ -540,3 +540,25 @@ def test_oracle_names_elements_whose_fibers_swapped_classes(monkeypatch):
     assert sorted(
         (ce["element"], ce["signature"], ce["class"]) for ce in check.counterexamples
     ) == [(a, signature(a), signature(b)), (b, signature(b), signature(a))]
+
+
+def test_check_statistics_reads_the_flips_signature_from_its_record(monkeypatch):
+    # flip_signature_invariant compares each element's recorded signature
+    # with its flip's, so no flipped tuple is signed (or memoized) again
+    from collections import Counter
+
+    elements = Counter(oracle.enumerate_compositions(6, 6))
+    signatures = _spy(monkeypatch, oracle, "signature")
+    assert oracle.check_statistics(6, 6).failed_names() == []
+    assert Counter(signatures) == elements
+
+
+def test_a_flip_with_another_signature_is_caught(monkeypatch):
+    # one element of (4,4) is given a wrong signature; the element and
+    # its flip each see the flip check fail
+    wrong = (1, 2, 0, 1, 0)
+    real = oracle.signature
+    monkeypatch.setattr(
+        oracle, "signature", lambda c: (9,) + real(c)[1:] if c == wrong else real(c)
+    )
+    assert _failures(oracle.check_statistics(4, 4))["flip_signature_invariant"] == 2

@@ -162,8 +162,9 @@ def test_cover_color_examples():
     assert posets.cover_color((0, 2, 0), (0, 1, 1)) == 2
     assert posets.cover_color((2, 0, 0), (0, 2, 0)) is None
     assert posets.cover_color((1, 1, 0), (2, 0, 0)) is None
-    with pytest.raises(ValueError):
-        posets.cover_color((1, 0), (1, 0, 0))
+    for lower, upper in [((1, 0), (1, 0, 0)), ((0, 1, 0), (1, 0)), ((), (1,))]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            posets.cover_color(lower, upper)
 
 
 def test_covers_are_rank_one_comparable_pairs():
@@ -241,3 +242,23 @@ def test_walk_down_takes_unit_steps():
         for color, low in posets.lower_covers(comp):
             assert posets.walk_down(low, (color,)) == [low, comp]
             assert posets.apply_color_down(low, color) == comp
+
+
+def _cover_color_by_definition(lower, upper):
+    # the entries where the two differ must be two neighbours i, i + 1,
+    # with one unit moved from i in lower to i + 1 in upper
+    diff = [i for i, (a, b) in enumerate(zip(lower, upper)) if a != b]
+    if len(diff) != 2 or diff[1] != diff[0] + 1:
+        return None
+    i = diff[0]
+    if upper[i] == lower[i] - 1 and upper[i + 1] == lower[i + 1] + 1:
+        return i + 1
+    return None
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (2, 6), (6, 2)])
+def test_cover_color_equals_its_definition_on_every_pair(n, m):
+    elements = list(posets.enumerate_compositions(n, m))
+    for x, y in itertools.product(elements, repeat=2):
+        assert posets.cover_color(x, y) == _cover_color_by_definition(x, y), (x, y)
+

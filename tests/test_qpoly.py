@@ -1,9 +1,10 @@
 import hashlib
 import sys
+from collections import Counter
 
 import pytest
 
-from unimodal_chains.posets import ResourceGuardError, enumerate_compositions
+from unimodal_chains.posets import ResourceGuardError, enumerate_compositions, rank
 from unimodal_chains.qpoly import (
     format_coefficients,
     gaussian,
@@ -135,3 +136,15 @@ def test_predicates():
 def test_format():
     assert format_coefficients((1, 1, 2, 1, 1)) == "1,1,2,1,1"
     assert format_coefficients(()) == ""
+
+
+def test_rank_gf_is_the_histogram_of_rank():
+    # on a class, on whole posets and on no element, as a sequence and as
+    # a one-pass iterator
+    for elements in (signature_class(6, (1, 1, 0, 1)),
+                     tuple(enumerate_compositions(5, 4)),
+                     tuple(enumerate_compositions(7, 0)), ()):
+        counts = Counter(map(rank, elements))
+        expected = tuple(counts[i] for i in range(max(counts, default=-1) + 1))
+        assert rank_generating_function(elements) == expected
+        assert rank_generating_function(iter(elements)) == expected

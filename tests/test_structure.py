@@ -366,14 +366,19 @@ def test_decomposition_json_round_trip():
 @pytest.mark.parametrize(
     "chains,error",
     [
-        ([{"top": [1, 0, 1], "colors": []}] * 2, "covered twice"),
+        ([{"top": [1, 0, 1], "colors": []}] * 2,
+         r"^element \(1, 0, 1\) covered twice$"),
+        ([{"top": [0, 2, 0], "colors": [2]}],
+         r"^element \(0, 2, 0\) covered twice$"),
+        ([{"top": [1, 0, 1], "colors": [1]}],
+         r"^element \(0, 1, 1\) covered twice$"),
         ([], "covers 5 of 6 elements"),
         ([{"top": [1, 0, 1, 0], "colors": []}], "not in L"),
         ([{"top": [1, 1, 1], "colors": []}], "not in L"),
         ([{"top": [2, -1, 1], "colors": []}], "not in L"),
     ],
-    ids=["duplicated-chain", "dropped-chain", "wrong-length", "wrong-mass",
-         "negative-entry"],
+    ids=["duplicated-chain", "overlap-at-the-top", "overlap-below-the-top",
+         "dropped-chain", "wrong-length", "wrong-mass", "negative-entry"],
 )
 def test_decomposition_from_dict_rejects_non_partition(chains, error):
     # (2,2) splits into the 5-chain of class (2,0) and the singleton
@@ -667,3 +672,59 @@ def test_fiber_points_are_the_coordinate_maps_images():
                 fibers += 1
     assert fibers == 689
     statistics.clear_caches()
+
+
+def test_certificate_stacks_each_element_of_a_shortened_chain():
+    # the certificate reads only the decomposition handed to it: with one
+    # chain cut short, its reconstruction is the per-element stacking of
+    # the chains as they are, which misses the Gaussian coefficients
+    from dataclasses import replace
+
+    from unimodal_chains.structure import Chain, Decomposition
+
+    dec = decompose_all(4, 4)
+    cd = max(dec.classes, key=lambda cd: cd.ell)
+    short = Chain(cd.chains[0].top, cd.chains[0].colors[:-2])
+    classes = tuple(
+        replace(c, chains=(short,) + c.chains[1:]) if c is cd else c
+        for c in dec.classes
+    )
+    cut = Decomposition(dec.n, dec.m, classes, dec.index)
+    stacked = [0] * (4 * 4 + 1)
+    for ch in cut.chains():
+        for e in ch.elements():
+            stacked[rank(e)] += 1
+    cert = unimodality_certificate(cut)
+    assert cert.reconstruction == tuple(stacked)
+    assert sum(stacked) == count_compositions(4, 4) - 2
+    assert cert.matches_gaussian is False
+    assert not cert.passed()
+
+
+@pytest.mark.parametrize("n,m,built", [(9, 9, 51_616), (12, 7, 54_895)])
+def test_decompose_all_walks_each_element_once(monkeypatch, n, m, built):
+    # cold caches: the classification's fiber walks plus one walk per
+    # chain of the degree 0 and 1 classes, here and in each (r, ell)
+    # poset transported; the transported images are indexed as they are,
+    # and the (r, ell) chains are read from their own index, not walked
+    # again.
+    from unimodal_chains import posets, statistics, structure, transversal
+
+    real = posets.walk_down
+    steps = []
+
+    def spy(comp, colors):
+        out = real(comp, colors)
+        steps.append(len(out) - 1)
+        return out
+
+    for module in (posets, statistics, structure, transversal):
+        if getattr(module, "walk_down", None) is real:
+            monkeypatch.setattr(module, "walk_down", spy)
+    statistics.clear_caches()
+    try:
+        dec = decompose_all(n, m)
+    finally:
+        statistics.clear_caches()
+    assert sum(steps) == built
+    assert len(dec.index) == count_compositions(n, m)

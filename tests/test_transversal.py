@@ -236,3 +236,20 @@ def test_bulk_walks_match_unit_steps_over_the_sweep():
                 cur = up[-1][2:]
             assert fiber_coordinates(a, remove_maximal_pairs(a)) == tuple(steps), a
     assert walks > 20_000
+
+
+def test_chains_through_checks_no_pair_its_scan_found(monkeypatch):
+    # the runs of chains_through's own scan start at maximal pairs, so it
+    # takes no spread per chain; transversal_chain still checks its index
+    from unimodal_chains import transversal
+
+    calls = []
+    real = transversal.spread
+    monkeypatch.setattr(transversal, "spread",
+                        lambda comp: calls.append(comp) or real(comp))
+    comp = (2, 0, 1, 0, 0, 2)
+    chains = chains_through(comp)
+    assert calls == []
+    assert chains == [transversal_chain(comp, 0), transversal_chain(comp, 4)]
+    with pytest.raises(ValueError, match="not a maximal pair"):
+        transversal_chain(comp, 1)
