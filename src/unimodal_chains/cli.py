@@ -37,7 +37,7 @@ from .statistics import (
     signature,
     signature_classes,
     signature_mass,
-    split_step,
+    split_shape,
 )
 from .structure import decompose_all, decomposition_to_dict
 from .oracle import run_pair, run_sweep, sweep_pairs
@@ -114,12 +114,12 @@ def cmd_classes(args) -> int:
         classes = {wanted: signature_classes(args.n, args.m)[wanted]}
     else:
         classes = signature_classes(args.n, args.m)
-    # split_step calls highest_weight, which raises on a signature it
-    # does not fit; "boundary_flagged" stays, always false, so the JSON
-    # keeps its keys
+    # highest_weight checks its element's signature and raises on a
+    # signature it does not fit; "boundary_flagged" stays, always false,
+    # so the JSON keeps its keys
     rows = []
     for d, cls in classes.items():
-        r, ell, _ = split_step(args.n, d)
+        r, ell = split_shape(args.n, d)
         rows.append({
             "signature": _format_signature(d),
             "size": len(cls),
@@ -290,6 +290,12 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except RecursionError:
+        # inputs deeper than the interpreter's stack: refused, not crashed
+        print(f"resource guard: {args.command} recursed deeper than "
+              f"Python's limit of {sys.getrecursionlimit()} frames",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

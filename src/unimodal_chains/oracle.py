@@ -9,19 +9,20 @@ one int bitset per row, built one column at a time and at most
 MAX_ORDER_MATRIX_ROWS rows, for the split extensions that structure
 builds.  verify_split_extension classifies each class's base poset
 itself, takes r from a class element rather than from the library's
-statistics.split_step, writes the section images by its own formula and
-rebuilds each fiber from its image with its own coordinate map,
-_fiber_images, one transversal chain per coordinate tail, over the
-lattice L(r, ell) it lists itself.  The split-extension checks locate chain steps and
-stripped initial elements with the library's own raising and lowering
-walks (posets._raise_path and _lower_path);
+closed form, statistics.split_shape, writes the section images by its
+own formula and rebuilds each fiber from its image with its own
+coordinate map, _fiber_images, one transversal chain per coordinate
+tail, over the lattice L(r, ell) it lists itself.  The split-extension
+checks locate chain steps and stripped initial elements with the
+library's own raising and lowering walks (posets._raise_path and
+_lower_path);
 check_chains verifies the chains those walks build.  Within a scope the
 library is asked for each element's value once, and every check of that
 element reads the answer: check_statistics records each element's
 spread, degree, removal image and signature, checks that signature
 against the element's class (signature_classes builds each class from
-its base class's fibers and computes one signature per class, so this
-check takes a route the classification does not share), compares the
+its base class's fibers and computes no signature, so this check takes
+a route the classification does not share), compares the
 flip's recorded image with the flipped one and its recorded signature
 with the element's, and lists in empty_class_census each signature of its own
 enumerate_signatures call that the classification has no class for;

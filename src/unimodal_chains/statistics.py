@@ -5,12 +5,14 @@ a maximal pair is an adjacent pair attaining it.  Removing as many
 maximal pairs as possible drops mass and length in a controlled way,
 and iterating the removal yields the signature: a vector refining both
 statistics that is constant on saturated transversal chains.  Each step
-of the forward fiber map has one writer here: split_step (a class's r,
-ell and section images over its base class), _leading_chain (the chain
-at a point's leading pair, which _fiber_points follows to walk a fiber)
-and _fiber_position (a point's index in that walk's colex order).
-signature_classes builds each class from them, not element by element;
-the decomposition, fiber_element and the CLI read the same steps.
+of the forward fiber map has one writer here: split_shape (a class's r
+and ell, in closed form from its signature), split_step (those and the
+section images over its base class), _leading_chain (the chain at a
+point's leading pair, which _fiber_points follows to walk a fiber) and
+_fiber_position (a point's index in that walk's colex order).
+signature_classes builds each class from them, not element by element,
+and computes no signature; the decomposition, fiber_element and the CLI
+read the same steps.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
     """
     if n <= 1 or m <= 0:
         elements = tuple(enumerate_compositions(n, m))
-        return {signature(elements[0]): elements}
+        return {enumerate_signatures(n, m)[0]: elements}
     check_poset_size(n, m)
     classes = {}
     for d in enumerate_signatures(n, m):
@@ -237,20 +239,31 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
     return classes
 
 
+def split_shape(n: int, d: Signature) -> tuple[int, int]:
+    """(r, ell) of the class (n, d): its degree and chain_length(n, d).
+
+    r is the number t of leading zeros of d (len(d) when d is all zero)
+    plus one, capped at (n + 1) // 2, the most pairs n + 1 entries hold:
+    the degree of the class's highest-weight element, read from d alone.
+    The cap binds exactly on the one-element classes of ell == 0: m == 0,
+    and d = (0, ..., 0, d_k) for even n.
+    """
+    t = next((j for j, dj in enumerate(d) if dj), len(d))
+    return min(t + 1, (n + 1) // 2), chain_length(n, d)
+
+
 def split_step(n: int, d: Signature) -> tuple[int, int, list[Composition]]:
     """The split step of the class (n, d): (r, ell, tops).
 
     The class is its base class (n - 2r, d[r:]) times the fiber
-    L(r, ell).  r is the degree of its highest-weight element (not its
-    leading zeros plus one, which differs on some classes with
-    ell == 0), ell is chain_length(n, d), and tops are the section
-    images over the elements of the base class, in its lexicographic
-    order: the tops of the class's fibers.  Reads the base class from
-    signature_classes, so it classifies the base poset, not the class's
-    own (for n == 0, where r == 0, the two are one).  A base class that
-    is missing raises InconsistencyError.
+    L(r, ell), with r and ell from split_shape, and tops are the
+    section images over the elements of the base class, in its
+    lexicographic order: the tops of the class's fibers.  Reads the base
+    class from signature_classes, so it classifies the base poset, not
+    the class's own (for n == 0, where r == 0, the two are one).  A base
+    class that is missing raises InconsistencyError.
     """
-    r = degree(highest_weight(n, d))
+    r, ell = split_shape(n, d)
     s = sum(d)
     base_m = signature_mass(d) - r * s
     base = signature_classes(n - 2 * r, base_m).get(d[r:])
@@ -259,7 +272,7 @@ def split_step(n: int, d: Signature) -> tuple[int, int, list[Composition]]:
             f"class {d} of n={n}: base class {d[r:]} of "
             f"n={n - 2 * r}, m={base_m} missing"
         )
-    return r, chain_length(n, d), [section(b, r, s) for b in base]
+    return r, ell, [section(b, r, s) for b in base]
 
 
 def section(b: Composition, r: int, s: int) -> Composition:

@@ -406,6 +406,25 @@ def test_order_matrix_guard_refuses_before_the_scopes():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gaussian", "--m", "1", "--n", "498"),
+        ("gaussian", "--m", "2000", "--n", "10"),
+        ("signature", "[" + ",".join(map(str, range(1, 1001))) + "]"),
+    ],
+    ids=["gaussian-1-498", "gaussian-2000-10", "signature-1000"],
+)
+def test_deep_recursion_is_a_resource_guard(argv):
+    # these inputs recurse past Python's frame limit: exit 3 with one
+    # line on stderr, not a traceback
+    proc = _run_capped(*argv, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource guard: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["classes", "decompose"])
 def test_long_thin_poset(command):
     # 2,001 elements with 1,001-entry signatures: the signature list must

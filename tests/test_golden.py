@@ -27,6 +27,7 @@ GOLDEN_PAIRS = [(2, 2), (3, 3), (4, 6), (5, 5)]
 FORMATS = {"json": "json", "text": "txt"}
 DIGESTED = [
     "classes --n 12 --m 7",
+    "classes --n 12 --m 7 --format json",
     "decompose --n 9 --m 9 --format json",
     "decompose --n 12 --m 7 --format json",
 ]

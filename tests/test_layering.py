@@ -153,10 +153,12 @@ def _reads_class_degree(node):
 
 def test_only_the_split_step_writes_a_class_s_r_and_section_images():
     # one split step for the library and the CLI, whose section images and
-    # fiber_element's have one writer; the oracle keeps its own route
+    # fiber_element's have one writer, and whose r split_shape reads from
+    # the signature, not from an element's degree; the oracle keeps its
+    # own route
     library = ("statistics.py", "structure.py", "cli.py")
     assert _where(library, _writes_section_head) == {("statistics.py", "section")}
-    assert _where(library, _reads_class_degree) == {("statistics.py", "split_step")}
+    assert _where(library, _reads_class_degree) == set()
     # the oracle's own route is still there to check it
     assert ("oracle.py", "verify_split_extension") in _where(
         ["oracle.py"], _writes_section_head) & _where(["oracle.py"], _reads_class_degree)

@@ -18,6 +18,7 @@ from unimodal_chains.statistics import (
     signature_class,
     signature_classes,
     signature_mass,
+    split_shape,
     split_step,
     spread,
 )
@@ -384,10 +385,10 @@ def test_classes_match_each_elements_own_signature():
 def test_signature_classes_computes_signatures_only_of_highest_weight_elements(
     monkeypatch,
 ):
-    # the full-length elements whose signature is computed (a signature
-    # miss removes their maximal pairs) are each class's highest-weight
-    # element, which gives the class's degree; every other element is a
-    # fiber point built from its base class
+    # a signature miss removes its element's maximal pairs: no full-length
+    # element has its signature computed, as split_shape reads a class's
+    # degree from its signature and every element is a fiber point built
+    # from its base class
     n, m = 6, 6
     real_remove = statistics._remove_runs
     computed = []
@@ -401,9 +402,8 @@ def test_signature_classes_computes_signatures_only_of_highest_weight_elements(
     monkeypatch.setattr(statistics, "_remove_runs", remove_spy)
     classes = signature_classes(n, m)
     found = list(computed)
-    listed = enumerate_signatures(n, m)
-    assert found == [highest_weight(n, d) for d in listed]
-    assert len(found) == len(classes) == 9
+    assert found == []
+    assert len(classes) == len(enumerate_signatures(n, m)) == 9
     assert sum(map(len, classes.values())) == 924
     statistics.clear_caches()
 
@@ -516,3 +516,43 @@ def test_split_step_is_the_class_over_its_base_class():
                 off_rule += 1
                 assert ell == 0, (n, d)
     assert off_rule == 29
+
+
+def test_split_shape_is_the_degree_of_the_highest_weight_element():
+    # r = min(t + 1, (n + 1) // 2) with t the leading zeros of d; the cap
+    # binds on exactly the one-element alternating-palindrome classes of
+    # the degree_formula census: m == 0, and d = (0, ..., 0, d_k) for even n
+    capped = 0
+    for n in range(21):
+        for m in range(21):
+            for d in enumerate_signatures(n, m):
+                r, ell = split_shape(n, d)
+                assert r == degree(highest_weight(n, d)), (n, d)
+                assert ell == chain_length(n, d)
+                t = next((j for j, dj in enumerate(d) if dj), len(d))
+                alternating = m == 0 or (n % 2 == 0 and not any(d[:-1]))
+                assert (r != t + 1) == alternating, (n, d)
+                capped += r != t + 1
+            statistics.clear_caches()
+    # 21 posets of m == 0, and for even n each m = (k + 1) * d_k in 1..20
+    assert capped == 21 + sum(20 // (n // 2 + 1) for n in range(0, 21, 2)) == 78
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: signature_classes(9, 9),
+        lambda: decompose_all(9, 9),
+        lambda: decompose_all(12, 7),
+        lambda: decompose_class(11, (1, 5, 0, 0, 0, 0)),
+    ],
+    ids=["classes-9-9", "decompose-9-9", "decompose-12-7", "decompose-class-11"],
+)
+def test_classification_and_decomposition_compute_no_signature(call):
+    # r comes from the signature in closed form, so from cold caches
+    # neither the signature memo nor the scan memo gets an entry
+    statistics.clear_caches()
+    call()
+    assert signature.cache_info().misses == 0
+    assert statistics._scans == {}
+    statistics.clear_caches()

@@ -423,8 +423,9 @@ def test_chain_successors_match_chain_walks():
 
 
 def test_degree_is_constant_on_every_class_of_the_sweep():
-    # split_step takes r from the class's highest-weight element and the
-    # oracle from its first element, so both need degree constant on it
+    # split_shape's closed form is the degree of the class's highest-weight
+    # element and the oracle takes r from its first element, so both need
+    # degree constant on it
     from unimodal_chains.oracle import sweep_pairs
 
     for n, m in sweep_pairs(1000, 12):
