@@ -10,9 +10,10 @@ and ell, in closed form from its signature), split_step (those and the
 section images over its base class), _leading_chain (the chain at a
 point's leading pair, which _fiber_points follows to walk a fiber) and
 _fiber_position (a point's index in that walk's colex order).
-signature_classes builds each class from them, not element by element,
-and computes no signature; the decomposition, fiber_element and the CLI
-read the same steps.
+_class_walk walks each class from them once per poset, not element by
+element, and computes no signature: signature_classes sorts the walks,
+and the decomposition reads the same walks for its chains; fiber_element
+and the CLI read the same steps.
 """
 
 from __future__ import annotations
@@ -211,23 +212,24 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
     clear_caches(); the base posets a classification reads stay memoized
     with it.
 
-    A poset with n <= 1 or m == 0 is one class and is enumerated.  Any
-    other class (n, d) is the union of the fibers below the section
-    images that split_step(n, d) writes, each a copy of L(r, ell).
+    A poset with n <= 0 or m == 0 is one class and is enumerated (as is
+    a negative m, which enumerate_compositions refuses).  Any other
+    class (n, d) is the lex-sorted view of its walk, _class_walk(n, d):
+    the union of the fibers below the section images that split_step(n,
+    d) writes, each a copy of L(r, ell), holding the walk's own tuples.
     Classes that do not partition the count_compositions(n, m) elements
     raise InconsistencyError; so does a missing base class, and a fiber
     walk that fails _fiber_points' checks.
     """
-    if n <= 1 or m <= 0:
+    if n <= 0 or m <= 0:
         elements = tuple(enumerate_compositions(n, m))
         return {enumerate_signatures(n, m)[0]: elements}
     check_poset_size(n, m)
     classes = {}
     for d in enumerate_signatures(n, m):
-        r, ell, tops = split_step(n, d)
         points = []
-        for top in tops:
-            points += _fiber_points(top, r, ell)
+        for fiber in _class_walk(n, d)[2]:
+            points += fiber
         points.sort()
         classes[d] = tuple(points)
     total = count_compositions(n, m)
@@ -237,6 +239,36 @@ def signature_classes(n: int, m: int) -> dict[Signature, tuple[Composition, ...]
             f"classes of n={n}, m={m} do not partition its {total} elements"
         )
     return classes
+
+
+_walks = {}  # (n, d) -> the class's walk, for one poset at a time
+
+
+def _class_walk(n, d):
+    """The walk that builds the class (n, d), memoized until
+    clear_caches(): (r, ell, fibers, chains).
+
+    r, ell and the tops come from split_step(n, d).  fibers holds the
+    class in construction order, as one tuple per fiber in the tops'
+    order, each of its comb(r + ell, r) points in _fiber_points' colex
+    order.  Where each fiber is one chain (r == 1, or ell == 0), chains
+    holds the colors of fiber k's chain, topped by its first point, from
+    the one _leading_chain call that walked it; otherwise chains is None.
+    Of r == 0 (n <= 0, a class that is its own base) each top is a fiber.
+    """
+    walk = _walks.get((n, d))
+    if walk is None:
+        r, ell, tops = split_step(n, d)
+        if r == 0:
+            fibers, chains = tuple(zip(tops)), ((),) * len(tops)
+        else:
+            chains = [] if r == 1 or ell == 0 else None
+            fibers = tuple([tuple(_fiber_points(top, r, ell, chains))
+                            for top in tops])
+            if chains is not None:
+                chains = tuple(chains)
+        walk = _walks[n, d] = r, ell, fibers, chains
+    return walk
 
 
 def split_shape(n: int, d: Signature) -> tuple[int, int]:
@@ -290,15 +322,17 @@ def section(b: Composition, r: int, s: int) -> Composition:
 
 def _leading_chain(x, top):
     """(top, colors read downward) of the chain at x's leading pair, which
-    must be maximal in x, a point of the fiber from the section image top."""
+    must be maximal in x, a point of the fiber from the section image top.
+    An x whose leading pair is (s, 0), an initial element such as every
+    section image, takes no raising step, so it tops the chain itself."""
     if x[0] + x[1] != spread(x):
         raise InconsistencyError(f"leading pair of {x} is not maximal "
                                  f"inside the fiber from {top}")
-    chain_top, up = _raise_path(x, 0)
+    chain_top, up = _raise_path(x, 0) if x[1] else (x, [])
     return chain_top, tuple(up + _lower_path(x, 0))
 
 
-def _fiber_points(top, r, ell):
+def _fiber_points(top, r, ell, chains=None):
     """Every point of the fiber below the section image top, in colex order
     of its coordinates lam, the weakly increasing vectors in [0, ell]^r
     (lam[-1] varies slowest).  The chain at top's leading pair holds the
@@ -306,6 +340,11 @@ def _fiber_points(top, r, ell):
     at its leading pair holds those for lam[k-1] = 0..j, so only its first
     j + 1 elements are built, pushed in reverse to be walked in order.
     A walked chain whose length is not ell raises InconsistencyError.
+    Given a list chains, the colors of each last-level chain, topped by
+    its first point, are appended to it: for r == 1 the one chain that
+    is the fiber, for ell == 0 the empty colors of its one point.
+    _class_walk is the library's one caller, so each fiber is walked once
+    per poset.
     """
     points = []
     todo = [(top, r, ell)]
@@ -319,6 +358,8 @@ def _fiber_points(top, r, ell):
         elems = walk_down(chain_top, colors[:j])
         if level == 1:
             points += elems
+            if chains is not None:
+                chains.append(colors[:j])
         else:
             todo += reversed([(e, level - 1, i) for i, e in enumerate(elems)])
     return points
@@ -332,12 +373,13 @@ def _fiber_position(e):
 
 
 def clear_caches() -> None:
-    """Drop every per-poset memo: maximal-pair scans, signatures and
-    classes.  qpoly.gaussian's stays, as it is keyed by box (one entry
-    serves (m, n) and (n, m)), shared across posets and read by
-    perfbench."""
+    """Drop every per-poset memo: maximal-pair scans, signatures, class
+    walks and classes.  qpoly.gaussian's stays, as it is keyed by box
+    (one entry serves (m, n) and (n, m)), shared across posets and read
+    by perfbench."""
     _scans.clear()
     _scan_results.clear()
+    _walks.clear()
     signature.cache_clear()
     signature_classes.cache_clear()
 

@@ -8,8 +8,10 @@ this picture decomposes the whole composition poset into saturated
 chains whose per-length tops are centered and unimodal, which is exactly
 the unimodality certificate.  Each step of the forward fiber map (section
 images, the chain at a point's leading pair, colex positions) is read
-from its one writer in statistics.  The decomposition classifies the base
-posets, not the poset it decomposes, and keeps no memo across calls.
+from its one writer in statistics, and each class from the walk that
+statistics memoizes for it, once per poset, so decomposing a classified
+poset walks none of its classes again.  The decomposition classifies the
+base posets, not the poset it decomposes, and keeps no memo of its own.
 This module only constructs; oracle.verify_split_extension checks it.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat
+from operator import itemgetter
 
 from .posets import (
     Composition,
@@ -32,8 +35,8 @@ from .qpoly import gaussian, is_unimodal
 from .statistics import (
     Signature,
     _class_mass,
+    _class_walk,
     _components,
-    _fiber_points,
     _fiber_position,
     _leading_chain,
     _remove_runs,
@@ -43,7 +46,6 @@ from .statistics import (
     remove_maximal_pairs,
     section,
     signature,
-    split_step,
 )
 from .transversal import Chain, flip_chain
 
@@ -136,8 +138,9 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
     """Partition one signature class into saturated chains.
 
     d is checked as signature_class checks it and the size guards of its
-    poset run; the class is then decomposed from its split step, as in
-    decompose_all, without classifying its poset.
+    poset run; the class is then decomposed from its walk, as in
+    decompose_all, without classifying its poset or walking its other
+    classes.
     """
     d = tuple(d)
     check_poset_size(n, _class_mass(n, d))
@@ -145,26 +148,26 @@ def decompose_class(n: int, d: Signature) -> list[Chain]:
 
 
 def _class_decomposition(n: int, d: Signature, sub_chains: dict):
-    """The chains of the class (n, d), built from its split step, and the
+    """The chains of the class (n, d), built from its walk, and the
     element list of each: (ClassDecomposition, walks).
 
-    The class itself is not read: split_step gives r, ell and its
-    fibers' tops (for n == 1, over the one element () of the (-1, 0)
-    poset); _indexed rejects the decomposition if they were wrong.  Of
-    transversal length 0 the class is its tops as one-point chains, of
-    degree 1 the chains at its tops' leading pairs; their walks are read
-    one chain at a time.  Of degree r >= 2 each fiber is a copy of
-    L(r, ell), and decompose_all(r, ell)'s chains are carried over as
-    _fiber_position lists, read from its index rather than walked again,
-    kept in sub_chains, which decompose_all shares so each (r, ell) poset
-    is decomposed once; the fiber points each list picks are its chain's
+    The class is read from statistics._class_walk(n, d), the walk that
+    signature_classes sorts, made once per poset from the class's split
+    step (for n == 1, over the one element () of the (-1, 0) poset);
+    _indexed rejects the decomposition if it was wrong.  Where each fiber
+    is one chain (degree 1, or transversal length 0) the walk gives each
+    chain's top, colors and elements, so no chain is walked again.  Of
+    degree r >= 2 each fiber is a copy of L(r, ell), and
+    decompose_all(r, ell)'s chains are carried over as _fiber_position
+    lists, read from its index rather than walked again, kept in
+    sub_chains, which decompose_all shares so each (r, ell) poset is
+    decomposed once; the fiber points each list picks are its chain's
     elements, the chain's walk.
     """
-    r, ell, tops = split_step(n, d)
-    if ell == 0 or r == 1:
-        chains = tuple(Chain(*_leading_chain(top, top)) if ell else Chain(top, ())
-                       for top in tops)
-        return ClassDecomposition(d, r, ell, chains), map(Chain.elements, chains)
+    r, ell, fibers, chain_colors = _class_walk(n, d)
+    if chain_colors is not None:
+        chains = tuple(map(Chain, map(itemgetter(0), fibers), chain_colors))
+        return ClassDecomposition(d, r, ell, chains), fibers
     if (r, ell) not in sub_chains:
         sub = decompose_all(r, ell)
         walked = iter(sub.index)
@@ -173,8 +176,7 @@ def _class_decomposition(n: int, d: Signature, sub_chains: dict):
             for ch in sub.chains()]
     chains = []
     walks = []
-    for top in tops:
-        points = _fiber_points(top, r, ell)
+    for points in fibers:
         for positions in sub_chains[r, ell]:
             images = tuple(map(points.__getitem__, positions))
             colors = tuple(map(cover_color, images, images[1:]))
@@ -191,13 +193,16 @@ def decompose_all(n: int, m: int) -> Decomposition:
     """Partition the whole (n, m) composition poset into saturated chains.
 
     Chains are grouped by signature class, in the enumerate_signatures
-    order, each from its split step, so only the base posets of its
+    order, each from its class's walk, so only the base posets of its
     classes are classified, not the poset itself (for n == 0 its one
-    class is its own base).  Its size guards run first.  The index is
-    filled from the walks that built the chains, once every class is
-    built: chains made while the index grows would send each full
-    garbage collection through the whole index.  Element coverage and
-    disjointness are checked and any defect is a hard failure.
+    class is its own base); the walks are the ones signature_classes
+    sorts, so after either call the other walks none of the poset's
+    classes, and the index keys the classification's own tuples.  Its
+    size guards run first.  The index is filled from the walks that
+    built the chains, once every class is built: chains made while the
+    index grows would send each full garbage collection through the
+    whole index.  Element coverage and disjointness are checked and any
+    defect is a hard failure.
     """
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")

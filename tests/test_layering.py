@@ -185,7 +185,7 @@ def test_the_private_names_each_module_imports_are_pinned():
         "statistics.py": walks,
         "structure.py": {("posets", "_raise_path")} | {
             ("statistics", name) for name in (
-                "_class_mass", "_components", "_fiber_points", "_fiber_position",
+                "_class_mass", "_class_walk", "_components", "_fiber_position",
                 "_leading_chain", "_remove_runs", "_runs_degree")},
         "transversal.py": walks | {("statistics", "_scan")},
     }
@@ -226,7 +226,8 @@ def test_clear_caches_empties_every_module_level_memo(monkeypatch):
     memos = _module_level_memos()
     assert set(memos) == kept | {
         ("statistics", name)
-        for name in ("_scans", "_scan_results", "signature", "signature_classes")
+        for name in ("_scans", "_scan_results", "_walks", "signature",
+                     "signature_classes")
     }
     dicts = {key: memo for key, memo in memos.items() if isinstance(memo, dict)}
     for key, memo in dicts.items():

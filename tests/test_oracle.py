@@ -529,7 +529,8 @@ def test_oracle_names_elements_whose_fibers_swapped_classes(monkeypatch):
     real = statistics._fiber_points
     monkeypatch.setattr(
         statistics, "_fiber_points",
-        lambda top, r, ell: [swap.get(p, p) for p in real(top, r, ell)],
+        lambda top, r, ell, *chains: [swap.get(p, p)
+                                      for p in real(top, r, ell, *chains)],
     )
     statistics.clear_caches()
     classes = statistics.signature_classes(5, 5)

@@ -452,8 +452,8 @@ def test_a_lost_or_repeated_fiber_point_fails_the_coverage_check(monkeypatch, fa
     real = statistics._fiber_points
     faulty = []
 
-    def spy(top, r, ell):
-        points = real(top, r, ell)
+    def spy(top, r, ell, *chains):
+        points = real(top, r, ell, *chains)
         if len(top) == 5 and len(points) >= 2 and not faulty:
             faulty.append(top)
             if fault == "dropped":
@@ -516,6 +516,27 @@ def test_split_step_is_the_class_over_its_base_class():
                 off_rule += 1
                 assert ell == 0, (n, d)
     assert off_rule == 29
+
+
+def test_signature_classes_keeps_its_edge_input_errors():
+    # only n <= 0 or m == 0 is enumerated; a negative n or m is still
+    # refused by enumerate_compositions, with its type and message
+    for n, m, message in [(-1, 1, "the empty composition carries mass 0 only"),
+                          (1, -1, "m must be >= 0"),
+                          (-2, 0, "n must be >= -1")]:
+        with pytest.raises(ValueError) as err:
+            signature_classes(n, m)
+        assert type(err.value) is ValueError and str(err.value) == message
+    # an n == 1 class comes from its split step: its walk is the one chain
+    # from (m, 0), all color 1, and the class is the whole poset in lex order
+    statistics.clear_caches()
+    for m in range(41):
+        elements = tuple(enumerate_compositions(1, m))
+        assert signature_classes(1, m) == {(m,): elements}
+        if m:
+            assert statistics._walks[1, (m,)] == (1, m, (elements[::-1],),
+                                                  ((1,) * m,))
+    statistics.clear_caches()
 
 
 def test_split_shape_is_the_degree_of_the_highest_weight_element():

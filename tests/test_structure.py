@@ -702,13 +702,13 @@ def test_certificate_stacks_each_element_of_a_shortened_chain():
     assert not cert.passed()
 
 
-@pytest.mark.parametrize("n,m,built", [(9, 9, 51_616), (12, 7, 54_895)])
+@pytest.mark.parametrize("n,m,built", [(9, 9, 51_644), (12, 7, 54_916)])
 def test_decompose_all_walks_each_element_once(monkeypatch, n, m, built):
-    # cold caches: the classification's fiber walks plus one walk per
-    # chain of the degree 0 and 1 classes, here and in each (r, ell)
-    # poset transported; the transported images are indexed as they are,
-    # and the (r, ell) chains are read from their own index, not walked
-    # again.
+    # cold caches: one fiber walk per class, of (n, m), of each (r, ell)
+    # poset transported and of their base posets (the n == 1 classes
+    # among them, each its chain from (m, 0)); every chain's elements are
+    # slices of its class's walk or transported images of them, and the
+    # (r, ell) chains are read from their own index, not walked again.
     from unimodal_chains import posets, statistics, structure, transversal
 
     real = posets.walk_down
@@ -729,3 +729,93 @@ def test_decompose_all_walks_each_element_once(monkeypatch, n, m, built):
         statistics.clear_caches()
     assert sum(steps) == built
     assert len(dec.index) == count_compositions(n, m)
+
+
+def _spy_walked_posets(monkeypatch):
+    """The (n, m) poset of the start of every walk_down and every
+    _leading_chain call, in every module that reads them."""
+    from unimodal_chains import posets, statistics, structure, transversal
+
+    walked = []
+    for name, real in (("walk_down", posets.walk_down),
+                       ("_leading_chain", statistics._leading_chain)):
+        def spy(x, *args, real=real):
+            walked.append((len(x) - 1, sum(x)))
+            return real(x, *args)
+
+        for module in (posets, statistics, structure, transversal):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    return walked
+
+
+@pytest.mark.parametrize("n, m", [(9, 9), (12, 7)])
+def test_decomposing_a_classified_poset_walks_none_of_its_classes(monkeypatch, n, m):
+    # the classification memoizes each class's walk; decompose_all reads
+    # those walks, and walks only the (r, ell) posets whose chains it
+    # transports and their base posets, which the classification never
+    # reached
+    from unimodal_chains import statistics
+
+    statistics.clear_caches()
+    walked = _spy_walked_posets(monkeypatch)
+    try:
+        signature_classes(n, m)
+        classified = set(walked)
+        walked.clear()
+        dec = decompose_all(n, m)
+    finally:
+        statistics.clear_caches()
+    assert (n, m) in classified and (n, m) not in walked
+    assert classified.isdisjoint(walked)
+    assert max(a for a, _ in walked) <= (n + 1) // 2
+    assert len(dec.index) == count_compositions(n, m)
+
+
+@pytest.mark.parametrize("n, m", [(9, 9), (12, 7)])
+def test_classifying_a_decomposed_poset_walks_nothing(monkeypatch, n, m):
+    from unimodal_chains import statistics
+
+    statistics.clear_caches()
+    walked = _spy_walked_posets(monkeypatch)
+    try:
+        decompose_all(n, m)
+        walked.clear()
+        classes = signature_classes(n, m)
+    finally:
+        statistics.clear_caches()
+    assert walked == []
+    assert sum(map(len, classes.values())) == count_compositions(n, m)
+
+
+def test_the_index_keys_the_classification_s_own_tuples():
+    # both read one walk per class, so the decomposition makes no element
+    # the classification already holds
+    from unimodal_chains import statistics
+
+    statistics.clear_caches()
+    try:
+        classes = signature_classes(9, 9)
+        dec = decompose_all(9, 9)
+        held = {id(e) for cls in classes.values() for e in cls}
+        assert len(held) == len(dec.index) == count_compositions(9, 9)
+        assert all(id(e) in held for e in dec.index)
+    finally:
+        statistics.clear_caches()
+
+
+def test_decompose_class_walks_only_its_own_class():
+    from unimodal_chains import statistics
+    from unimodal_chains.statistics import signature_mass
+
+    d = (1, 5, 0, 0, 0, 0)
+    statistics.clear_caches()
+    try:
+        chains = decompose_class(11, d)
+        own_poset = [key for key in statistics._walks
+                     if key[0] == 11 and signature_mass(key[1]) == 11]
+    finally:
+        statistics.clear_caches()
+    assert own_poset == [(11, d)]
+    assert sum(ch.length + 1 for ch in chains) == len(signature_class(11, d))
+    statistics.clear_caches()
