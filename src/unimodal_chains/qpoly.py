@@ -1,9 +1,11 @@
 """Exact Gaussian binomial coefficients and rank generating functions.
 
 Coefficient vectors are tuples of Python ints indexed by q-degree, so
-everything is arbitrary precision; the Pascal-type recurrence keeps all
-intermediates integral (no polynomial division).  gaussian's memo holds
-one tuple per unordered box: (m, n) and (n, m) share it.
+everything is arbitrary precision.  gaussian computes boxes with
+m + n <= GAUSSIAN_RECURSION_MAX by the Pascal-type recurrence, whose
+intermediates are integral (no polynomial division), and larger ones by
+the product formula with exact integer division, which does not recurse.
+Its memo holds one tuple per unordered box: (m, n) and (n, m) share it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub
 from typing import Iterable
 
 from .posets import Composition, ResourceGuardError
@@ -20,6 +22,11 @@ from .posets import Composition, ResourceGuardError
 CoefficientVector = tuple
 
 MAX_GAUSSIAN_DEGREE = 4_000_000  # guard on m*n for gaussian()
+MAX_GAUSSIAN_WORK = 100_000_000  # guard on min(m, n)*m*n for gaussian()
+# Boxes up to this m + n recurse about m + n frames deep, which leaves
+# room under Python's default limit for the caller's frames (pytest's
+# too); larger ones take the product formula
+GAUSSIAN_RECURSION_MAX = 300
 
 
 @lru_cache(maxsize=None)
@@ -27,21 +34,27 @@ def gaussian(m: int, n: int) -> CoefficientVector:
     """Coefficients of the q-binomial [m+n choose m]_q, degree 0..mn.
 
     Equals the rank generating function of partitions with at most m
-    parts bounded by n.  Computed by the recurrence
-    [N k] = [N-1 k-1] + q^k [N-1 k] with exact integer arithmetic.
-    Conjugation makes it symmetric in m and n, so (m, n) with m > n
-    returns the very tuple of (n, m): the memo holds one entry per
-    unordered box, and only boxes with m <= n are computed.  A cold call
-    recurses about m + n levels deep in either order: under Python's
-    default recursion limit the CLI computes (1, 497) and (10, 488) but
-    raises RecursionError on (1, 498) and (10, 489).
+    parts bounded by n.  Conjugation makes it symmetric in m and n, so
+    (m, n) with m > n returns the very tuple of (n, m): the memo holds
+    one entry per unordered box, and only boxes with m <= n are
+    computed.  A box with m + n <= GAUSSIAN_RECURSION_MAX is computed by
+    the recurrence [N k] = [N-1 k-1] + q^k [N-1 k], whose cold call
+    recurses about m + n levels deep in either order and fills the memo
+    with every smaller box; a larger one by _gaussian_product, without
+    recursion, so (1, 498) and (2000, 10) are computed too.  Both paths
+    use exact integer arithmetic only.
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
     if m * n > MAX_GAUSSIAN_DEGREE:
         raise ResourceGuardError(f"gaussian({m},{n}) degree {m*n} over limit")
+    if min(m, n) * m * n > MAX_GAUSSIAN_WORK:
+        raise ResourceGuardError(
+            f"gaussian({m},{n}) work {min(m, n) * m * n} over limit")
     if m == 0 or n == 0:
         return (1,)
+    if m + n > GAUSSIAN_RECURSION_MAX:
+        return gaussian(n, m) if m > n else _gaussian_product(m, n)
     if m > n:
         # (n, m)'s two terms first, from this frame, so that the mirrored
         # call recurses no deeper than computing (m, n) itself would
@@ -50,6 +63,22 @@ def gaussian(m: int, n: int) -> CoefficientVector:
         return gaussian(n, m)
     return tuple(map(add, chain(gaussian(m - 1, n), repeat(0, n)),
                      chain(repeat(0, m), gaussian(m, n - 1))))
+
+
+def _gaussian_product(k, N):
+    """[N+k choose k]_q for 1 <= k <= N as the product over i = 1..k of
+    (1 - q^(N+i)) / (1 - q^i), in one list of k*N + 1 integers.  Factor i
+    leaves the degree-i*N product: multiply by 1 - q^(N+i) in place up
+    to degree i*N (the quotient needs no higher term), then divide
+    exactly by 1 - q^i as a running sum of stride i."""
+    c = [1] + [0] * (k * N)
+    for i in range(1, k + 1):
+        top = i * N + 1
+        a = N + i
+        c[a:top] = map(sub, c[a:top], c[:top - a])
+        for start in range(i):
+            c[start:top:i] = accumulate(c[start:top:i])
+    return tuple(c)
 
 
 def rank_generating_function(elements: Iterable[Composition]) -> CoefficientVector:

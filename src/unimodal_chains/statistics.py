@@ -142,7 +142,12 @@ def signature(comp: Composition) -> Signature:
     Defined by iterated maximal-pair removal: with r the degree and s
     the spread, the vector starts with r-1 zeros, then s minus the
     spread of the removal image, then the image's signature.  For
-    n <= 1 the signature is the single entry m.
+    n <= 1 the signature is the single entry m.  The image's spread is
+    read as the sum of the image's signature: every signature sums to
+    its element's spread, by definition for n <= 1 and by this
+    construction above it, an identity that oracle.check_statistics
+    checks against spread() on every element.  So each removal image is
+    scanned once, by its own call.
     """
     n = len(comp) - 1
     if n < 0:
@@ -152,8 +157,8 @@ def signature(comp: Composition) -> Signature:
         return (m,)
     s, runs = _scan(comp)
     r = _runs_degree(runs)
-    image = _remove_runs(comp, runs)
-    d = (0,) * (r - 1) + (s - spread(image),) + signature(image)
+    rest = signature(_remove_runs(comp, runs))
+    d = (0,) * (r - 1) + (s - sum(rest),) + rest
     if len(d) != n // 2 + 1:
         raise InconsistencyError(f"signature length for {comp}: {d}")
     if sum(map(mul, d, range(1, len(d) + 1))) != m:

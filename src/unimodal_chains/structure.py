@@ -41,11 +41,9 @@ from .statistics import (
     _leading_chain,
     _remove_runs,
     _runs_degree,
-    chain_length,
     enumerate_signatures,
     remove_maximal_pairs,
     section,
-    signature,
 )
 from .transversal import Chain, flip_chain
 
@@ -73,13 +71,16 @@ def fiber_coordinates(a: Composition, b: Composition) -> tuple[int, ...]:
     leading block, and recurses; after degree(a) levels the residue
     must be b.  The counts are weakly increasing and bounded by the
     class's transversal length; violations are hard failures.  One scan
-    of a gives its projection, its degree and the first level's start.
+    of a gives its projection, its degree, the first level's start and,
+    with its mass m, that length: ell = sum((n - 2j) d_j) over its
+    signature d is (n + 2) s - 2m, as sum(d) is the spread s and
+    sum((j + 1) d_j) is m.
     """
-    runs = _components(a)[1]
+    s, runs = _components(a)
     if _remove_runs(a, runs) != b:
         raise ValueError(f"{b} is not the projection of {a}")
     r = _runs_degree(runs)
-    ell = chain_length(len(a) - 1, signature(a))
+    ell = (len(a) + 1) * s - 2 * sum(a)
     cur = a
     out = []
     for level in range(r):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -407,13 +408,25 @@ def test_order_matrix_guard_refuses_before_the_scopes():
 
 
 @pytest.mark.parametrize(
+    "m, n, total",
+    [(1, 498, 499), (2000, 10, comb(2010, 10))],
+    ids=["gaussian-1-498", "gaussian-2000-10"],
+)
+def test_gaussian_beyond_the_recursion_is_computed(m, n, total):
+    # these boxes once recursed past Python's frame limit; the product
+    # formula computes them
+    proc = _run_capped("gaussian", "--m", str(m), "--n", str(n), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    coefficients, flags = proc.stdout.split(" ", 1)
+    assert flags == "symmetric unimodal\n"
+    assert sum(map(int, coefficients.split(","))) == total
+
+
+@pytest.mark.parametrize(
     "argv",
-    [
-        ("gaussian", "--m", "1", "--n", "498"),
-        ("gaussian", "--m", "2000", "--n", "10"),
-        ("signature", "[" + ",".join(map(str, range(1, 1001))) + "]"),
-    ],
-    ids=["gaussian-1-498", "gaussian-2000-10", "signature-1000"],
+    [("signature", "[" + ",".join(map(str, range(1, 1001))) + "]")],
+    ids=["signature-1000"],
 )
 def test_deep_recursion_is_a_resource_guard(argv):
     # these inputs recurse past Python's frame limit: exit 3 with one

@@ -1,11 +1,16 @@
 import hashlib
 import sys
 from collections import Counter
+from itertools import chain, repeat
+from math import comb
+from operator import add
 
 import pytest
 
 from unimodal_chains.posets import ResourceGuardError, enumerate_compositions, rank
 from unimodal_chains.qpoly import (
+    GAUSSIAN_RECURSION_MAX,
+    _gaussian_product,
     format_coefficients,
     gaussian,
     is_symmetric,
@@ -109,6 +114,37 @@ def test_a_mirrored_box_recurses_no_deeper_than_its_own_order(m, n):
 def test_gaussian_resource_guard():
     with pytest.raises(ResourceGuardError):
         gaussian(100_000, 100_000)
+    # degree 1,000,000 passes MAX_GAUSSIAN_DEGREE, but the product formula
+    # would take about 10**9 integer steps
+    with pytest.raises(ResourceGuardError, match="work"):
+        gaussian(1000, 1000)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 30])
+def test_gaussian_paths_agree_around_the_switch(m):
+    # from cold, inside pytest's deeper stack: the recursion reaches the
+    # switch without a RecursionError
+    gaussian.cache_clear()
+    for total in range(GAUSSIAN_RECURSION_MAX - 4, GAUSSIAN_RECURSION_MAX + 5):
+        n = total - m
+        g = gaussian(m, n)
+        # at or below the switch, the recursion's value is the product's
+        assert g == _gaussian_product(m, n)
+        # above it, the product's value is one recursion step from the
+        # boxes below
+        assert g == tuple(map(add, chain(gaussian(m - 1, n), repeat(0, n)),
+                              chain(repeat(0, m), gaussian(m, n - 1))))
+
+
+@pytest.mark.parametrize(
+    "m, n", [(1, 498), (2000, 10), (3, 298), (40, 1600), (151, 150), (161, 170)]
+)
+def test_gaussian_beyond_the_switch(m, n):
+    g = gaussian(m, n)
+    assert gaussian(n, m) is g
+    assert len(g) == m * n + 1
+    assert sum(g) == comb(m + n, n)
+    assert is_symmetric(g)
 
 
 def test_rank_gf_examples():

@@ -198,6 +198,31 @@ def test_chain_length_examples():
     assert chain_length(5, (0, 1, 1)) == 4
 
 
+def test_chain_length_from_spread_and_mass():
+    # sum(d) is the spread and sum((j + 1) d_j) the mass, so
+    # ell = sum((n - 2j) d_j) = (n + 2) s - 2m: fiber_coordinates' ell
+    for n in range(9):
+        for m in range(9):
+            for a in enumerate_compositions(n, m):
+                assert chain_length(n, signature(a)) == (n + 2) * spread(a) - 2 * m
+
+
+def test_signature_reads_each_image_spread_from_its_signature(monkeypatch):
+    calls = []
+    real = statistics.spread
+
+    def spy(comp):
+        calls.append(comp)
+        return real(comp)
+
+    statistics.clear_caches()
+    monkeypatch.setattr(statistics, "spread", spy)
+    for comp in enumerate_compositions(6, 6):
+        signature(comp)
+    assert signature.cache_info().currsize > posets.count_compositions(6, 6)
+    assert calls == []
+
+
 def test_degree_formula_boundary_case():
     # the recursion-computed degree of (1,0,1) is 1 while the leading-zero
     # formula gives 2; the recursion is ground truth here

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -13,8 +14,10 @@ from unimodal_chains.posets import (
 from unimodal_chains.qpoly import gaussian
 from unimodal_chains.statistics import (
     chain_length,
+    clear_caches,
     degree,
     remove_maximal_pairs,
+    signature,
     signature_class,
     signature_classes,
 )
@@ -76,6 +79,22 @@ def test_fiber_coordinates_examples():
     assert fiber_coordinates((0, 0, 2), (0,)) == (4,)
     with pytest.raises(ValueError):
         fiber_coordinates((0, 1, 1), (1,))
+
+
+def test_fiber_coordinates_computes_no_signature():
+    # ell comes from the one scan of a and its mass, not from signature(a)
+    rng = random.Random(29)
+    n, m = 12, 12
+    elements = []
+    for _ in range(200):
+        bars = sorted(rng.sample(range(n + m), n))
+        elements.append(tuple(
+            hi - lo - 1 for lo, hi in zip([-1] + bars, bars + [n + m])))
+    clear_caches()
+    for a in elements:
+        assert sum(a) == m and len(a) == n + 1
+        fiber_coordinates(a, remove_maximal_pairs(a))
+    assert signature.cache_info().currsize == 0
 
 
 def test_first_coordinate_closed_form_examples():
