@@ -29,7 +29,7 @@ enumerate_signatures call that the classification has no class for;
 verify_split_extension lists each class element's in-class upper covers
 once.  Each check is one CheckResult; failures are recorded with
 reproducible inputs, never raised.  _order_matrix_rows is a resource
-guard, not a check, and reads the library's split_step.
+guard, not a check, and reads the library's split_shape.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .statistics import (
     signature_class,
     signature_classes,
     signature_mass,
-    split_step,
+    split_shape,
     spread,
 )
 from .structure import (
@@ -763,16 +763,17 @@ def sweep_pairs(max_size: int, max_dim: int = 12) -> list[tuple[int, int]]:
 
 def _order_matrix_rows(n, m):
     """Row counts of the order matrices check_structure builds for (n, m):
-    comb(r + ell, r) for each fiber of a class of degree r >= 2, and the
-    base class's size, its number of section images, for each section
-    check.  A resource guard, not a check, so it reads r, ell and the
-    section images from the library's split_step."""
-    for d in signature_classes(n, m):
-        r, ell, tops = split_step(n, d)
+    the fiber size comb(r + ell, r) for each class of degree r >= 2, and
+    the base class's size, the class's size over its fiber size, for each
+    section check.  A resource guard, not a check, so it reads r and ell
+    from the library's split_shape and builds no section image."""
+    for d, cls in signature_classes(n, m).items():
+        r, ell = split_shape(n, d)
+        fiber = comb(r + ell, r)
         if r >= 2:
-            yield comb(r + ell, r)
+            yield fiber
         if r >= 1:
-            yield len(tops)
+            yield len(cls) // fiber
 
 
 def run_pair(n: int, m: int):

@@ -4,8 +4,8 @@ Coefficient vectors are tuples of Python ints indexed by q-degree, so
 everything is arbitrary precision.  gaussian computes boxes with
 m + n <= GAUSSIAN_RECURSION_MAX by the Pascal-type recurrence, whose
 intermediates are integral (no polynomial division), and larger ones by
-the product formula with exact integer division, which does not recurse.
-Its memo holds one tuple per unordered box: (m, n) and (n, m) share it.
+the product formula with exact integer division, which memoizes no
+smaller box.  Its memo holds one tuple per unordered box.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ CoefficientVector = tuple
 
 MAX_GAUSSIAN_DEGREE = 4_000_000  # guard on m*n for gaussian()
 MAX_GAUSSIAN_WORK = 100_000_000  # guard on min(m, n)*m*n for gaussian()
-# Boxes up to this m + n recurse about m + n frames deep, which leaves
-# room under Python's default limit for the caller's frames (pytest's
-# too); larger ones take the product formula
-GAUSSIAN_RECURSION_MAX = 300
+# Boxes up to this m + n take the recurrence, which memoizes every
+# smaller box: at most the 40 x 40 fill, 900 entries and about 14 MB.
+# Larger ones take the product formula and memoize only themselves
+GAUSSIAN_RECURSION_MAX = 80
 
 
 @lru_cache(maxsize=None)
@@ -35,14 +35,14 @@ def gaussian(m: int, n: int) -> CoefficientVector:
 
     Equals the rank generating function of partitions with at most m
     parts bounded by n.  Conjugation makes it symmetric in m and n, so
-    (m, n) with m > n returns the very tuple of (n, m): the memo holds
-    one entry per unordered box, and only boxes with m <= n are
-    computed.  A box with m + n <= GAUSSIAN_RECURSION_MAX is computed by
-    the recurrence [N k] = [N-1 k-1] + q^k [N-1 k], whose cold call
-    recurses about m + n levels deep in either order and fills the memo
-    with every smaller box; a larger one by _gaussian_product, without
-    recursion, so (1, 498) and (2000, 10) are computed too.  Both paths
-    use exact integer arithmetic only.
+    (m, n) with m > n returns the very tuple of (n, m), and only boxes
+    with m <= n are computed.  A box with m + n <= GAUSSIAN_RECURSION_MAX
+    is computed by the recurrence [N k] = [N-1 k-1] + q^k [N-1 k], whose
+    cold call goes at most m + n + 1 frames deep and fills the memo with
+    every smaller box; a larger one by _gaussian_product, which neither
+    recurses nor memoizes any other box, so (1, 498), (150, 150) and
+    (2000, 10) cost only their own product.  Both paths use exact
+    integer arithmetic only.
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
@@ -53,14 +53,10 @@ def gaussian(m: int, n: int) -> CoefficientVector:
             f"gaussian({m},{n}) work {min(m, n) * m * n} over limit")
     if m == 0 or n == 0:
         return (1,)
-    if m + n > GAUSSIAN_RECURSION_MAX:
-        return gaussian(n, m) if m > n else _gaussian_product(m, n)
     if m > n:
-        # (n, m)'s two terms first, from this frame, so that the mirrored
-        # call recurses no deeper than computing (m, n) itself would
-        gaussian(n - 1, m)
-        gaussian(n, m - 1)
         return gaussian(n, m)
+    if m + n > GAUSSIAN_RECURSION_MAX:
+        return _gaussian_product(m, n)
     return tuple(map(add, chain(gaussian(m - 1, n), repeat(0, n)),
                      chain(repeat(0, m), gaussian(m, n - 1))))
 

@@ -145,9 +145,11 @@ def signature(comp: Composition) -> Signature:
     n <= 1 the signature is the single entry m.  The image's spread is
     read as the sum of the image's signature: every signature sums to
     its element's spread, by definition for n <= 1 and by this
-    construction above it, an identity that oracle.check_statistics
-    checks against spread() on every element.  So each removal image is
-    scanned once, by its own call.
+    construction above it, so signature does not check it;
+    oracle.check_statistics (signature_sum_identities) checks it against
+    spread() on every element.  So each removal image is scanned once,
+    by its own call.  The length and mass checks catch a faulty
+    _remove_runs or _runs_degree.
     """
     n = len(comp) - 1
     if n < 0:
@@ -163,8 +165,6 @@ def signature(comp: Composition) -> Signature:
         raise InconsistencyError(f"signature length for {comp}: {d}")
     if sum(map(mul, d, range(1, len(d) + 1))) != m:
         raise InconsistencyError(f"signature mass for {comp}: {d}")
-    if m > 0 and sum(d) != s:
-        raise InconsistencyError(f"signature spread for {comp}: {d}")
     return d
 
 

@@ -409,12 +409,13 @@ def test_order_matrix_guard_refuses_before_the_scopes():
 
 @pytest.mark.parametrize(
     "m, n, total",
-    [(1, 498, 499), (2000, 10, comb(2010, 10))],
-    ids=["gaussian-1-498", "gaussian-2000-10"],
+    [(1, 498, 499), (2000, 10, comb(2010, 10)), (150, 150, comb(300, 150))],
+    ids=["gaussian-1-498", "gaussian-2000-10", "gaussian-150-150"],
 )
 def test_gaussian_beyond_the_recursion_is_computed(m, n, total):
-    # these boxes once recursed past Python's frame limit; the product
-    # formula computes them
+    # the first two boxes once recursed past Python's frame limit, and the
+    # recursion's memo of every smaller box once outgrew the cap at the
+    # third; the product formula computes each box alone
     proc = _run_capped("gaussian", "--m", str(m), "--n", str(n), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -106,9 +106,20 @@ def _cold_depth(m, n):
     return deepest
 
 
-@pytest.mark.parametrize("m, n", [(1, 30), (5, 30), (12, 7)])
-def test_a_mirrored_box_recurses_no_deeper_than_its_own_order(m, n):
-    assert _cold_depth(n, m) == _cold_depth(m, n) == m + n
+@pytest.mark.parametrize(
+    "m, n",
+    [(m, n) for m in range(13) for n in range(13)]
+    + [(1, 30), (5, 30), (40, 40), (1, 79), (79, 1)],
+)
+def test_a_cold_gaussian_goes_at_most_m_plus_n_plus_one_frames_deep(m, n):
+    assert _cold_depth(m, n) <= m + n + 1
+
+
+def test_a_box_beyond_the_switch_memoizes_only_itself():
+    # the recursion left 5,250 entries here, every smaller box's
+    gaussian.cache_clear()
+    gaussian(100, 100)
+    assert gaussian.cache_info().currsize == 1
 
 
 def test_gaussian_resource_guard():
